@@ -26,16 +26,7 @@ from .quadrature import (
     integrate,
     safe_exp_neg,
 )
-from .geometry import (
-    ChannelRealization,
-    Link,
-    aggregate_interference,
-    instantaneous_sinr,
-    sample_fading,
-    sample_ppp,
-    sample_service_delay,
-    sample_service_delays,
-)
+from .geometry import sample_interference_batch, sample_service_delays
 from .analytic import (
     DelayReport,
     InfeasiblePowerError,
@@ -62,7 +53,8 @@ from .simulate import (
     empirical_service_distribution,
     estimate_outage_mc,
     lindley_waits,
-    run_mg1,
+    queue_stats_from_trace,
+    run_mg1_detailed,
 )
 
 __version__ = "0.1.0"

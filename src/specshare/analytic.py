@@ -16,13 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ScenarioParams, ServiceMode, with_updates
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    cdf_moment_integrals,
-    convolve_cdf_pdf,
-    safe_exp_neg,
-)
+from .quadrature import cdf_moment_integrals, convolve_cdf_pdf, safe_exp_neg
 
 # f2 mass ignored beyond the convolution cutoff
 _CONV_TAIL = 1e-12
@@ -150,17 +144,6 @@ def _as_given(values: np.ndarray, scalar_input: bool):
     return float(values) if scalar_input else values
 
 
-def _tail_exponent(beta, c_noise: float, c_int: float, two_over_alpha: float):
-    """c_noise*beta + c_int*beta^(2/alpha) with exact handling of beta = inf."""
-    beta = np.asarray(beta, dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
-        noise_term = np.where(np.isinf(beta), math.inf if c_noise > 0 else 0.0,
-                              c_noise * beta)
-        interference_term = np.where(np.isinf(beta), math.inf if c_int > 0 else 0.0,
-                                     c_int * np.power(beta, two_over_alpha))
-    return noise_term + interference_term
-
-
 def _shared_coeffs(params: ScenarioParams) -> tuple[float, float]:
     p = params
     c_noise = p.y0 ** p.alpha * p.noise_psd * p.b_h / (p.p_m_shared * p.n_m)
@@ -174,25 +157,38 @@ def _proprietary_coeff(params: ScenarioParams) -> float:
     return p.y0 ** p.alpha * p.noise_psd * p.b_m / (p.p_m * p.n_m)
 
 
+def _capacity_tail(params: ScenarioParams, band: ServiceMode, rate):
+    """P(capacity > rate) on one band: SHARED_ONLY or PROPRIETARY_ONLY.
+
+    The SINR threshold for rate r is beta = 2^(r/B) - 1; the tail is
+    exp(-(c_noise*beta + c_int*beta^(2/alpha))), with beta = inf (overflow or
+    rate = inf) handled exactly.
+    """
+    if band is ServiceMode.SHARED_ONLY:
+        bandwidth, two_over_alpha = params.b_h, 2.0 / params.alpha
+        c_noise, c_int = _shared_coeffs(params)
+    else:
+        bandwidth, two_over_alpha = params.b_m, 1.0
+        c_noise, c_int = _proprietary_coeff(params), 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        beta = np.exp2(np.asarray(rate, dtype=float) / bandwidth) - 1.0
+        noise_term = np.where(np.isinf(beta), math.inf if c_noise > 0 else 0.0,
+                              c_noise * beta)
+        interference_term = np.where(np.isinf(beta), math.inf if c_int > 0 else 0.0,
+                                     c_int * np.power(beta, two_over_alpha))
+    return safe_exp_neg(noise_term + interference_term)
+
+
 def capacity_cdf_shared(params: ScenarioParams, tau):
     """CDF of the shared-band capacity B_h log2(1 + SINR) at tau bits/s."""
-    scalar = np.isscalar(tau)
-    tau = np.asarray(tau, dtype=float)
-    with np.errstate(over="ignore"):
-        beta = np.exp2(tau / params.b_h) - 1.0
-    c_noise, c_int = _shared_coeffs(params)
-    exponent = _tail_exponent(beta, c_noise, c_int, 2.0 / params.alpha)
-    return _as_given(1.0 - safe_exp_neg(exponent), scalar)
+    return _as_given(1.0 - _capacity_tail(params, ServiceMode.SHARED_ONLY, tau),
+                     np.isscalar(tau))
 
 
 def capacity_cdf_proprietary(params: ScenarioParams, tau):
     """CDF of the proprietary-band capacity B_m log2(1 + SNR) at tau bits/s."""
-    scalar = np.isscalar(tau)
-    tau = np.asarray(tau, dtype=float)
-    with np.errstate(over="ignore"):
-        beta = np.exp2(tau / params.b_m) - 1.0
-    exponent = _tail_exponent(beta, _proprietary_coeff(params), 0.0, 1.0)
-    return _as_given(1.0 - safe_exp_neg(exponent), scalar)
+    return _as_given(1.0 - _capacity_tail(params, ServiceMode.PROPRIETARY_ONLY, tau),
+                     np.isscalar(tau))
 
 
 def capacity_pdf_proprietary(params: ScenarioParams, tau):
@@ -263,16 +259,14 @@ def _scalar_proprietary_pdf(params: ScenarioParams):
     return f2
 
 
-def combined_capacity_cdf(params: ScenarioParams, z: float,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def combined_capacity_cdf(params: ScenarioParams, z: float) -> float:
     """CDF of the summed shared + proprietary capacity at z bits/s."""
     return convolve_cdf_pdf(
         _scalar_shared_cdf(params), _scalar_proprietary_pdf(params),
-        z, spec, u_max=proprietary_tail_cutoff(params), u_tail=_CONV_TAIL)
+        z, u_max=proprietary_tail_cutoff(params), u_tail=_CONV_TAIL)
 
 
-def service_cdf(params: ScenarioParams, mode: ServiceMode, t,
-                spec: QuadratureSpec = DEFAULT_SPEC):
+def service_cdf(params: ScenarioParams, mode: ServiceMode, t):
     """CDF of the per-packet service delay at time t for the given mode.
 
     Equals one minus the mode's capacity CDF evaluated at the required rate
@@ -285,31 +279,23 @@ def service_cdf(params: ScenarioParams, mode: ServiceMode, t,
     with np.errstate(divide="ignore"):
         z = np.where(t > 0, params.u_m * params.n_m / t, math.inf)
 
-    if mode is ServiceMode.SHARED_ONLY:
-        with np.errstate(over="ignore"):
-            beta = np.exp2(z / params.b_h) - 1.0
-        c_noise, c_int = _shared_coeffs(params)
-        cdf = safe_exp_neg(_tail_exponent(beta, c_noise, c_int, 2.0 / params.alpha))
-    elif mode is ServiceMode.PROPRIETARY_ONLY:
-        with np.errstate(over="ignore"):
-            beta = np.exp2(z / params.b_m) - 1.0
-        cdf = safe_exp_neg(_tail_exponent(beta, _proprietary_coeff(params), 0.0, 1.0))
-    else:
-        cdf = np.array([1.0 - combined_capacity_cdf(params, zi, spec)
+    if mode is ServiceMode.COMBINED:
+        cdf = np.array([1.0 - combined_capacity_cdf(params, zi)
                         for zi in np.atleast_1d(z)]).reshape(z.shape)
+    else:
+        cdf = _capacity_tail(params, mode, z)
     return _as_given(np.asarray(cdf), scalar)
 
 
 @lru_cache(maxsize=256)
-def truncated_service_moments(params: ScenarioParams, mode: ServiceMode,
-                              spec: QuadratureSpec = DEFAULT_SPEC) -> TruncatedMoments:
+def truncated_service_moments(params: ScenarioParams, mode: ServiceMode) -> TruncatedMoments:
     """First three moments of min(S, t_out) plus the deadline-miss probability.
 
     The k-th truncated moment is t_out^k minus k times the integral of
     t^(k-1) F(t) over [0, t_out]. Results are cached; params are immutable.
     """
-    F = lambda t: float(service_cdf(params, mode, t, spec))
-    i1, i2, i3 = cdf_moment_integrals(F, params.t_out, spec)
+    F = lambda t: float(service_cdf(params, mode, t))
+    i1, i2, i3 = cdf_moment_integrals(F, params.t_out)
     t_out = params.t_out
     fail = min(1.0, max(0.0, 1.0 - F(t_out)))
     return TruncatedMoments(
@@ -340,8 +326,7 @@ def mg1_waiting(moments: TruncatedMoments, lambda_md: float) -> WaitingTime:
     return WaitingTime(mean, variance)
 
 
-def delay_report(params: ScenarioParams, mode: ServiceMode,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> DelayReport:
+def delay_report(params: ScenarioParams, mode: ServiceMode) -> DelayReport:
     """Mean delay and jitter of the downlink queue in the given mode.
 
     When epsilon is set and the mode transmits on the shared band, the
@@ -350,7 +335,7 @@ def delay_report(params: ScenarioParams, mode: ServiceMode,
     effective = params
     if mode is not ServiceMode.PROPRIETARY_ONLY and params.epsilon is not None:
         effective = apply_power_budget(params)
-    tm = truncated_service_moments(effective, mode, spec)
+    tm = truncated_service_moments(effective, mode)
     wt = mg1_waiting(tm, effective.lambda_md)
     service_variance = max(0.0, tm.m2 - tm.m1 ** 2)
     return DelayReport(

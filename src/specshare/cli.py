@@ -1,5 +1,6 @@
 """Command-line harness: single evaluations, parameter sweeps with CSV
-output, figure-trend checks, and the analytic-vs-Monte-Carlo verify suite.
+output, and the entry points of the trend checks and the verify suite, which
+live in ``specshare.verify``.
 
 Sweep grids are linear in the swept variable, except transmit powers which
 sweep linearly in dBm (the value column then holds dBm). Grid points are
@@ -30,6 +31,7 @@ from .model import (
     validate,
     with_updates,
 )
+from .quadrature import QuadratureError
 
 SWEEP_VARIABLES = ("P_h", "lambda_h", "P_m_shared", "epsilon", "lambda_md", "lambda_mu")
 _POWER_FIELDS = {"P_h": "p_h", "P_m_shared": "p_m_shared"}
@@ -102,22 +104,6 @@ class SweepTable:
         return [r for r in self.rows if r.error]
 
 
-@dataclass(frozen=True)
-class TrendCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    checks: tuple[TrendCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _point_params(base: ScenarioParams, spec: SweepSpec, value: float) -> ScenarioParams:
     if spec.variable in _POWER_FIELDS:
         params = with_updates(base, **{_POWER_FIELDS[spec.variable]: dbm_to_watts(value)})
@@ -168,19 +154,19 @@ def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
         for mode in spec.modes:
             try:
                 report = analytic.delay_report(params, mode)
-            except (UnstableQueueError, InfeasiblePowerError) as exc:
+            except (UnstableQueueError, InfeasiblePowerError, QuadratureError) as exc:
                 per_mode[mode] = str(exc)
                 continue
             cell = {"mean_delay": (report.mean_delay, None, 0),
                     "jitter": (report.jitter, None, 0)}
             if spec.packets > 0:
-                stats, bars = simulate.run_mg1_detailed(
+                stats = simulate.run_mg1_detailed(
                     params, mode, spec.packets, np.random.default_rng(point_seed))
                 kept = stats.n_packets - stats.warmup_discarded
                 cell = {"mean_delay": (report.mean_delay,
-                                       (stats.mean_sojourn, bars.se_mean_sojourn), kept),
+                                       (stats.mean_sojourn, stats.se_mean_sojourn), kept),
                         "jitter": (report.jitter,
-                                   (stats.sojourn_variance, bars.se_sojourn_variance), kept)}
+                                   (stats.sojourn_variance, stats.se_sojourn_variance), kept)}
             per_mode[mode] = cell
 
     rows: list[SweepRow] = []
@@ -253,151 +239,6 @@ def emit_csv(table: SweepTable, destination) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _monotone(rows: list[SweepRow], direction: int, rel_tol: float = 1e-9) -> list[int]:
-    """Indices where the analytic series violates strict monotonicity."""
-    bad = []
-    for i in range(len(rows) - 1):
-        a, b = rows[i].analytic, rows[i + 1].analytic
-        slack = rel_tol * max(abs(a), abs(b))
-        if direction > 0 and not b > a - slack:
-            bad.append(i + 1)
-        if direction < 0 and not b < a + slack:
-            bad.append(i + 1)
-    return bad
-
-
-def _constant(rows: list[SweepRow], rel_tol: float) -> list[int]:
-    if not rows:
-        return []
-    ref = rows[0].analytic
-    scale = max(abs(ref), 1e-300)
-    return [i for i, r in enumerate(rows) if abs(r.analytic - ref) > rel_tol * scale]
-
-
-def _check(name: str, violations: list[int], extra: str = "") -> TrendCheck:
-    if violations:
-        return TrendCheck(name, False, f"violations at grid rows {violations} {extra}".strip())
-    return TrendCheck(name, True, extra)
-
-
-def _epsilon_checks(table: SweepTable) -> list[TrendCheck]:
-    # tolerance at which the p_max cap starts binding
-    budget_probe = [analytic.max_mbs_power(with_updates(table.base, epsilon=v)).clamped
-                    for v in table.spec.grid()]
-    checks = []
-    for mode in table.spec.modes:
-        name = MODE_NAMES[mode]
-        if mode is ServiceMode.PROPRIETARY_ONLY:
-            continue  # proprietary-only traffic never uses the shared band
-        for metric in ("mean_delay", "jitter"):
-            if metric not in table.spec.metrics:
-                continue
-            rows = table.series(metric, name)
-            if any(r.error for r in rows) or not rows:
-                checks.append(TrendCheck(f"{metric}[{name}] vs epsilon", False,
-                                         "errored points in series"))
-                continue
-            label = f"{metric}[{name}]"
-            decreasing = [i + 1 for i in range(len(rows) - 1)
-                          if rows[i + 1].analytic > rows[i].analytic
-                          * (1 + 1e-9) + 1e-15]
-            checks.append(_check(f"{label} nonincreasing in epsilon", decreasing))
-            clamped = [r for r, c in zip(rows, budget_probe) if c]
-            stable = _constant(clamped, rel_tol=1e-6)
-            extra = f"({len(clamped)} clamped points)"
-            if not clamped:
-                checks.append(TrendCheck(f"{label} constant after power clamp", False,
-                                         "grid never reaches the p_max clamp"))
-            else:
-                checks.append(_check(f"{label} constant after power clamp", stable, extra))
-    return checks
-
-
-def _ordering_checks(table: SweepTable) -> list[TrendCheck]:
-    checks = []
-    have = {MODE_NAMES[m] for m in table.spec.modes}
-    if {"combined", "proprietary"} <= have:
-        for metric in ("mean_delay", "jitter"):
-            if metric not in table.spec.metrics:
-                continue
-            combined = table.series(metric, "combined")
-            proprietary = table.series(metric, "proprietary")
-            bad = [i for i, (c, p) in enumerate(zip(combined, proprietary))
-                   if not c.analytic <= p.analytic * (1 + 1e-9)]
-            checks.append(_check(f"{metric}: combined <= proprietary pointwise", bad))
-    return checks
-
-
-def check_trends(table: SweepTable) -> TrendReport:
-    """Assert the figure-specific monotonicity and ordering properties."""
-    spec = table.spec
-    checks: list[TrendCheck] = []
-    if table.errors:
-        checks.append(TrendCheck("no errored points", False,
-                                 f"{len(table.errors)} rows errored"))
-
-    if spec.variable == "P_h":
-        no_sharing = table.series("outage_no_sharing")
-        sharing = table.series("outage_sharing")
-        if no_sharing:
-            if table.base.noise_psd == 0.0:
-                checks.append(_check("outage_no_sharing constant in P_h (noise-free)",
-                                     _constant(no_sharing, rel_tol=1e-12)))
-            elif all(r.sim_mean is not None for r in no_sharing):
-                spread = (max(r.analytic for r in no_sharing)
-                          - min(r.analytic for r in no_sharing))
-                width = float(np.mean([r.sim_ci_hi - r.sim_ci_lo for r in no_sharing]))
-                flat = spread <= width
-                inside = all(abs(r.sim_mean - r.analytic)
-                             <= 1.5 * (r.sim_ci_hi - r.sim_ci_lo) for r in no_sharing)
-                checks.append(TrendCheck(
-                    "outage_no_sharing flat within simulation CI",
-                    flat and inside,
-                    f"analytic spread {spread:.3g} vs mean CI width {width:.3g}"))
-            else:
-                spread = (max(r.analytic for r in no_sharing)
-                          - min(r.analytic for r in no_sharing))
-                sharing_spread = (max(r.analytic for r in sharing)
-                                  - min(r.analytic for r in sharing)) if sharing else math.inf
-                checks.append(TrendCheck(
-                    "outage_no_sharing nearly flat in P_h",
-                    spread <= 0.2 * sharing_spread,
-                    f"spread {spread:.3g} vs sharing spread {sharing_spread:.3g}"))
-        if sharing:
-            checks.append(_check("outage_sharing decreasing in P_h",
-                                 _monotone(sharing, -1)))
-    elif spec.variable == "lambda_h":
-        for metric in OUTAGE_METRICS:
-            rows = table.series(metric)
-            if rows:
-                checks.append(_check(f"{metric} increasing in lambda_h",
-                                     _monotone(rows, +1)))
-    elif spec.variable == "P_m_shared":
-        rows = table.series("outage_sharing")
-        if rows:
-            checks.append(_check("outage_sharing increasing in P_m_shared",
-                                 _monotone(rows, +1)))
-        rows = table.series("outage_no_sharing")
-        if rows:
-            checks.append(_check("outage_no_sharing constant in P_m_shared",
-                                 _constant(rows, rel_tol=1e-12)))
-    elif spec.variable == "epsilon":
-        checks.extend(_epsilon_checks(table))
-    elif spec.variable in ("lambda_md", "lambda_mu"):
-        for mode in spec.modes:
-            name = MODE_NAMES[mode]
-            for metric in ("mean_delay", "jitter"):
-                if metric not in spec.metrics:
-                    continue
-                rows = table.series(metric, name)
-                if rows:
-                    checks.append(_check(
-                        f"{metric}[{name}] increasing in {spec.variable}",
-                        _monotone(rows, +1)))
-        checks.extend(_ordering_checks(table))
-    return TrendReport(tuple(checks))
-
-
 def _load_params(path) -> ScenarioParams:
     if path is None:
         return validate(ScenarioParams())
@@ -422,7 +263,7 @@ def _cmd_eval(args) -> int:
         name = MODE_NAMES[mode]
         try:
             report = analytic.delay_report(params, mode)
-        except (UnstableQueueError, InfeasiblePowerError) as exc:
+        except (UnstableQueueError, InfeasiblePowerError, QuadratureError) as exc:
             print(f"error[{name}]: {exc}", file=sys.stderr)
             status = 1
             continue
@@ -455,12 +296,13 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
         status = 1
     if args.check_trends:
-        report = check_trends(table)
-        for check in report.checks:
+        from . import verify  # deferred: pulls in the whole acceptance machinery
+
+        for check in verify.check_trends(table):
             line = "PASS" if check.passed else "FAIL"
             print(f"{line} {check.name}" + (f": {check.detail}" if check.detail else ""))
-        if not report.passed:
-            status = 1
+            if not check.passed:
+                status = 1
     return status
 
 

@@ -1,4 +1,4 @@
-"""Interferer-field sampling, fading, instantaneous SINR, and service delays.
+"""Batch sampling of interferer fields, link capacities, and service delays.
 
 The interferer field is a homogeneous Poisson point process on a finite disk
 around the typical receiver; the serving base station sits at its fixed
@@ -10,8 +10,6 @@ delays are i.i.d. as the queueing analysis assumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum, auto
 
 import numpy as np
 
@@ -19,111 +17,6 @@ from .model import ScenarioParams, ServiceMode
 
 # cap on PPP points materialized per numpy batch (memory bound)
 _CHUNK_POINTS = 4_000_000
-
-
-class Link(Enum):
-    HTC_NO_SHARING = auto()   # licensed user, licensed interferers only
-    HTC_SHARING = auto()      # licensed user plus the MTC BS cross link
-    MTC_SHARED = auto()       # MTC device on the shared band, all licensed BSs interfere
-    MTC_PROPRIETARY = auto()  # MTC device on the proprietary band, noise only
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One sampled interferer field plus the fading gains of a single link."""
-
-    interferer_distances: np.ndarray  # m, one per interfering licensed BS
-    interferer_gains: np.ndarray      # unit-mean exponential, one per interferer
-    serving_gain: float               # fading gain of the desired link
-    cross_gain: float | None = None   # MTC-BS-to-user fading gain, sharing links only
-
-    def __post_init__(self):
-        if len(self.interferer_distances) != len(self.interferer_gains):
-            raise ValueError("interferer distance and gain lists must have equal length")
-
-
-def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Radial distances of a homogeneous PPP on a disk, unsorted.
-
-    The point count is Poisson(density * pi * radius^2) and each point is
-    uniform on the disk, so squared distances are uniform on [0, radius^2].
-    """
-    if density < 0 or radius <= 0:
-        raise ValueError("density must be nonnegative and radius positive")
-    count = rng.poisson(density * math.pi * radius * radius)
-    return radius * np.sqrt(rng.random(count))
-
-
-def sample_fading(rng: np.random.Generator) -> float:
-    """One unit-mean exponential (Rayleigh power) fading gain."""
-    return float(rng.exponential())
-
-
-def sample_channel(params: ScenarioParams, link: Link,
-                   rng: np.random.Generator) -> ChannelRealization:
-    """Draw a fresh interferer field and fading gains consistent with a link."""
-    if link is Link.MTC_PROPRIETARY:
-        distances = np.empty(0)
-        gains = np.empty(0)
-    else:
-        distances = sample_ppp(params.lambda_h, params.mc_radius, rng)
-        gains = rng.exponential(size=distances.size)
-    cross = sample_fading(rng) if link is Link.HTC_SHARING else None
-    return ChannelRealization(distances, gains, sample_fading(rng), cross)
-
-
-def aggregate_interference(realization: ChannelRealization, power: float,
-                           alpha: float) -> float:
-    """Total received interference power: power * sum of gain / distance^alpha."""
-    if realization.interferer_distances.size == 0:
-        return 0.0
-    with np.errstate(divide="ignore"):
-        terms = realization.interferer_distances ** (-alpha) * realization.interferer_gains
-    return power * float(np.sum(terms))
-
-
-def instantaneous_sinr(params: ScenarioParams, realization: ChannelRealization,
-                       link: Link) -> float:
-    """SINR (or SNR) of one channel realization for the given link."""
-    p = params
-    if link is Link.MTC_PROPRIETARY:
-        with np.errstate(divide="ignore"):
-            return p.p_m * p.n_m * p.y0 ** (-p.alpha) * realization.serving_gain \
-                / (p.noise_psd * p.b_m)
-
-    interference = aggregate_interference(realization, p.p_h, p.alpha)
-    if link is Link.MTC_SHARED:
-        signal = p.p_m_shared * p.y0 ** (-p.alpha) * realization.serving_gain
-        noise = p.noise_psd * p.b_h / p.n_m
-        return signal / (interference + noise)
-
-    signal = p.p_h * p.x0 ** (-p.alpha) * realization.serving_gain
-    noise = p.noise_psd * p.b_h / p.n_h
-    if link is Link.HTC_SHARING:
-        if realization.cross_gain is None:
-            raise ValueError("cross_gain is required for the sharing link")
-        interference += p.p_m_shared * p.y0 ** (-p.alpha) * realization.cross_gain
-    return signal / (interference + noise)
-
-
-def sample_service_delay(params: ScenarioParams, mode: ServiceMode,
-                         rng: np.random.Generator) -> float:
-    """Service delay of one packet: size / capacity on a fresh realization.
-
-    A zero-capacity draw yields +inf; deadline truncation happens downstream.
-    """
-    capacity = 0.0
-    if mode is not ServiceMode.PROPRIETARY_ONLY:
-        shared = sample_channel(params, Link.MTC_SHARED, rng)
-        sinr = instantaneous_sinr(params, shared, Link.MTC_SHARED)
-        capacity += params.b_h * math.log2(1.0 + sinr)
-    if mode is not ServiceMode.SHARED_ONLY:
-        prop = ChannelRealization(np.empty(0), np.empty(0), sample_fading(rng))
-        snr = instantaneous_sinr(params, prop, Link.MTC_PROPRIETARY)
-        capacity += params.b_m * math.log2(1.0 + snr)
-    if capacity <= 0.0:
-        return math.inf
-    return params.u_m * params.n_m / capacity
 
 
 def sample_interference_batch(power: float, density: float, radius: float,

@@ -78,7 +78,6 @@ class ScenarioParams:
     epsilon: float | None = None  # licensed outage tolerance; None = no power cap
     workshop_area: float = 1e4    # area mapping lambda_mu to n_m (m^2)
     mc_radius: float = 1000.0     # interferer-field disk radius for Monte Carlo (m)
-    trials: int = 100_000         # default Monte Carlo trial count
     seed: int = 0                 # master RNG seed
 
 
@@ -115,8 +114,6 @@ def validate(params: ScenarioParams) -> ScenarioParams:
             problems.append(f"{name} must be an integer >= 1, got {value!r}")
     if params.epsilon is not None and not (0.0 < params.epsilon < 1.0):
         problems.append("epsilon must lie in (0,1)")
-    if not (isinstance(params.trials, int) and params.trials >= 0):
-        problems.append(f"trials must be a nonnegative integer, got {params.trials!r}")
     if not isinstance(params.seed, int):
         problems.append(f"seed must be an integer, got {params.seed!r}")
 
@@ -125,7 +122,7 @@ def validate(params: ScenarioParams) -> ScenarioParams:
     return params
 
 
-_INT_FIELDS = frozenset({"n_h", "n_m", "trials", "seed"})
+_INT_FIELDS = frozenset({"n_h", "n_m", "seed"})
 
 
 def with_updates(params: ScenarioParams, **changes) -> ScenarioParams:
@@ -170,12 +167,8 @@ _CONFIG_KEYS: dict[str, tuple[str, object]] = {
     "epsilon": ("epsilon", float),
     "workshop_area_m2": ("workshop_area", float),
     "mc_radius_m": ("mc_radius", float),
-    "trials": ("trials", lambda v: int(round(v))),
     "seed": ("seed", lambda v: int(round(v))),
 }
-
-# Keys that must appear explicitly; everything currently has a usable default.
-_MANDATORY_KEYS: tuple[str, ...] = ()
 
 
 def parse_config(text: str) -> ScenarioParams:
@@ -186,7 +179,6 @@ def parse_config(text: str) -> ScenarioParams:
     over the lambda_mu-derived device count.
     """
     assigned: dict[str, object] = {}
-    seen_keys: set[str] = set()
     problems: list[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -212,12 +204,6 @@ def parse_config(text: str) -> ScenarioParams:
             assigned[field_name] = convert(number)
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
-            continue
-        seen_keys.add(key)
-
-    for key in _MANDATORY_KEYS:
-        if key not in seen_keys:
-            problems.append(f"missing mandatory key {key!r}")
     if problems:
         raise ConfigError("; ".join(problems))
 

@@ -68,7 +68,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         limit=spec.max_subdivisions, full_output=True,
     )
     if len(result) > 3:
-        raise QuadratureError(str(result[3]))
+        raise QuadratureError(" ".join(str(result[3]).split()))  # one-line message
     return float(result[0])
 
 

@@ -31,14 +31,20 @@ class ProbEstimate:
 
 @dataclass(frozen=True)
 class QueueStats:
-    """Steady-state statistics of one simulated queue run."""
+    """Steady-state statistics of one simulated queue run.
 
-    mean_sojourn: float       # s
-    sojourn_variance: float   # s^2, unbiased over post-warmup packets
-    mean_waiting: float       # s
-    fail_fraction: float      # fraction of packets missing the deadline
-    n_packets: int            # total packets simulated (warmup included)
-    warmup_discarded: int     # leading packets excluded from statistics
+    The standard errors are moment-based, treating packets as independent;
+    autocorrelation in heavy traffic makes them slightly optimistic.
+    """
+
+    mean_sojourn: float         # s
+    sojourn_variance: float     # s^2, unbiased over post-warmup packets
+    mean_waiting: float         # s
+    fail_fraction: float        # fraction of packets missing the deadline
+    n_packets: int              # total packets simulated (warmup included)
+    warmup_discarded: int       # leading packets excluded from statistics
+    se_mean_sojourn: float      # s, standard error of mean_sojourn
+    se_sojourn_variance: float  # s^2, standard error of sojourn_variance
 
 
 def estimate_outage_mc(params: ScenarioParams, sharing: bool, n_trials: int,
@@ -141,6 +147,7 @@ def queue_stats_from_trace(interarrivals, raw_services, t_out: float,
 
     kept = sojourns[warmup:]
     variance = float(kept.var(ddof=1)) if kept.size > 1 else 0.0
+    m4 = float(np.mean((kept - kept.mean()) ** 4))
     return QueueStats(
         mean_sojourn=float(kept.mean()),
         sojourn_variance=variance,
@@ -148,23 +155,19 @@ def queue_stats_from_trace(interarrivals, raw_services, t_out: float,
         fail_fraction=float(np.mean(raw[warmup:] >= t_out)),
         n_packets=int(n),
         warmup_discarded=int(warmup),
+        se_mean_sojourn=math.sqrt(variance / kept.size),
+        se_sojourn_variance=math.sqrt(max(m4 - variance * variance, 0.0) / kept.size),
     )
 
 
-@dataclass(frozen=True)
-class QueueErrorBars:
-    """Standard errors of the post-warmup sojourn mean and variance.
+def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode, n_packets: int,
+                     rng: np.random.Generator, warmup_frac: float = 0.1) -> QueueStats:
+    """Simulate the MTC downlink queue: Poisson arrivals, fresh per-packet
+    service delays, FCFS, deadline truncation; statistics with error bars.
 
-    Moment-based, treating packets as independent; autocorrelation in heavy
-    traffic makes these slightly optimistic.
+    Arrivals and service draws come from independent sub-streams of the given
+    generator, so the same seed reproduces the run bit for bit.
     """
-
-    se_mean_sojourn: float
-    se_sojourn_variance: float
-
-
-def _simulate_queue(params: ScenarioParams, mode: ServiceMode, n_packets: int,
-                    rng: np.random.Generator, warmup_frac: float):
     if params.lambda_md <= 0:
         raise ValueError("lambda_md must be positive to drive arrivals")
     if n_packets < 1:
@@ -178,44 +181,4 @@ def _simulate_queue(params: ScenarioParams, mode: ServiceMode, n_packets: int,
     if observed_load >= 1.0:
         logger.warning("observed load %.3f >= 1; queue statistics will not converge",
                        observed_load)
-
-    effective = np.minimum(raw, params.t_out)
-    waits = lindley_waits(np.cumsum(interarrivals), effective)
-    sojourns = waits + effective
-    kept = sojourns[warmup:]
-    variance = float(kept.var(ddof=1)) if kept.size > 1 else 0.0
-    stats = QueueStats(
-        mean_sojourn=float(kept.mean()),
-        sojourn_variance=variance,
-        mean_waiting=float(waits[warmup:].mean()),
-        fail_fraction=float(np.mean(raw[warmup:] >= params.t_out)),
-        n_packets=int(n_packets),
-        warmup_discarded=int(warmup),
-    )
-    return stats, kept
-
-
-def run_mg1(params: ScenarioParams, mode: ServiceMode, n_packets: int,
-            rng: np.random.Generator, warmup_frac: float = 0.1) -> QueueStats:
-    """Simulate the MTC downlink queue: Poisson arrivals, fresh per-packet
-    service delays, FCFS, deadline truncation.
-
-    Arrivals and service draws come from independent sub-streams of the given
-    generator, so the same seed reproduces the run bit for bit.
-    """
-    stats, _ = _simulate_queue(params, mode, n_packets, rng, warmup_frac)
-    return stats
-
-
-def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode, n_packets: int,
-                     rng: np.random.Generator,
-                     warmup_frac: float = 0.1) -> tuple[QueueStats, QueueErrorBars]:
-    """run_mg1 plus standard errors for confidence intervals on its outputs."""
-    stats, kept = _simulate_queue(params, mode, n_packets, rng, warmup_frac)
-    n = kept.size
-    centered = kept - kept.mean()
-    m4 = float(np.mean(centered ** 4))
-    var = stats.sojourn_variance
-    se_mean = math.sqrt(var / n) if n else 0.0
-    se_var = math.sqrt(max(m4 - var * var, 0.0) / n) if n else 0.0
-    return stats, QueueErrorBars(se_mean, se_var)
+    return queue_stats_from_trace(interarrivals, raw, params.t_out, warmup)

@@ -5,7 +5,8 @@ field-level Monte Carlo, closed-form delay CDFs against empirical samples,
 closed-form queue moments against an event-driven FCFS run, plus classical
 M/M/1 and M/D/1 sanity anchors, figure-trend assertions, and byte-level sweep
 determinism. ``run_all`` powers both the ``specshare verify`` command and the
-acceptance test module.
+acceptance test module; ``check_trends`` also backs ``specshare sweep
+--check-trends``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from . import analytic, cli, geometry, simulate
+from . import analytic, cli, simulate
 from .analytic import TruncatedMoments
 from .model import ScenarioParams, ServiceMode, validate, with_updates
 from .quadrature import integrate
@@ -29,8 +30,8 @@ from .quadrature import integrate
 class CheckResult:
     name: str
     passed: bool
-    detail: str
-    elapsed: float  # s
+    detail: str = ""
+    elapsed: float = 0.0  # s; zero for a single trend assertion
 
 
 def check_outage_oracle(params: ScenarioParams, trials: int = 1_000_000,
@@ -151,7 +152,8 @@ def check_queue_theory(params: ScenarioParams, packets: int = 1_000_000,
         moments = analytic.truncated_service_moments(params, mode)
         scenario = with_updates(params, lambda_md=rho / moments.m1)
         report = analytic.delay_report(scenario, mode)
-        stats = simulate.run_mg1(scenario, mode, packets, np.random.default_rng(seed + k))
+        stats = simulate.run_mg1_detailed(scenario, mode, packets,
+                                          np.random.default_rng(seed + k))
         kept = stats.n_packets - stats.warmup_discarded
 
         mean_err = abs(stats.mean_sojourn - report.mean_delay) / report.mean_delay
@@ -206,8 +208,154 @@ def check_classical_queues(packets: int = 1_000_000, seed: int = 404) -> CheckRe
         elapsed)
 
 
-def _trend_result(name: str, reports: list[cli.TrendReport], start: float) -> CheckResult:
-    checks = [c for r in reports for c in r.checks]
+def _monotone(rows: list[cli.SweepRow], direction: int, rel_tol: float = 1e-9) -> list[int]:
+    """Indices where the analytic series violates strict monotonicity."""
+    bad = []
+    for i in range(len(rows) - 1):
+        a, b = rows[i].analytic, rows[i + 1].analytic
+        slack = rel_tol * max(abs(a), abs(b))
+        if direction > 0 and not b > a - slack:
+            bad.append(i + 1)
+        if direction < 0 and not b < a + slack:
+            bad.append(i + 1)
+    return bad
+
+
+def _constant(rows: list[cli.SweepRow], rel_tol: float) -> list[int]:
+    if not rows:
+        return []
+    ref = rows[0].analytic
+    scale = max(abs(ref), 1e-300)
+    return [i for i, r in enumerate(rows) if abs(r.analytic - ref) > rel_tol * scale]
+
+
+def _check(name: str, violations: list[int], extra: str = "") -> CheckResult:
+    if violations:
+        return CheckResult(name, False, f"violations at grid rows {violations} {extra}".strip())
+    return CheckResult(name, True, extra)
+
+
+def _epsilon_checks(table: cli.SweepTable) -> list[CheckResult]:
+    # tolerance at which the p_max cap starts binding
+    budget_probe = [analytic.max_mbs_power(with_updates(table.base, epsilon=v)).clamped
+                    for v in table.spec.grid()]
+    checks = []
+    for mode in table.spec.modes:
+        name = cli.MODE_NAMES[mode]
+        if mode is ServiceMode.PROPRIETARY_ONLY:
+            continue  # proprietary-only traffic never uses the shared band
+        for metric in ("mean_delay", "jitter"):
+            if metric not in table.spec.metrics:
+                continue
+            rows = table.series(metric, name)
+            if any(r.error for r in rows) or not rows:
+                checks.append(CheckResult(f"{metric}[{name}] vs epsilon", False,
+                                          "errored points in series"))
+                continue
+            label = f"{metric}[{name}]"
+            decreasing = [i + 1 for i in range(len(rows) - 1)
+                          if rows[i + 1].analytic > rows[i].analytic
+                          * (1 + 1e-9) + 1e-15]
+            checks.append(_check(f"{label} nonincreasing in epsilon", decreasing))
+            clamped = [r for r, c in zip(rows, budget_probe) if c]
+            stable = _constant(clamped, rel_tol=1e-6)
+            extra = f"({len(clamped)} clamped points)"
+            if not clamped:
+                checks.append(CheckResult(f"{label} constant after power clamp", False,
+                                          "grid never reaches the p_max clamp"))
+            else:
+                checks.append(_check(f"{label} constant after power clamp", stable, extra))
+    return checks
+
+
+def _ordering_checks(table: cli.SweepTable) -> list[CheckResult]:
+    checks = []
+    have = {cli.MODE_NAMES[m] for m in table.spec.modes}
+    if {"combined", "proprietary"} <= have:
+        for metric in ("mean_delay", "jitter"):
+            if metric not in table.spec.metrics:
+                continue
+            combined = table.series(metric, "combined")
+            proprietary = table.series(metric, "proprietary")
+            bad = [i for i, (c, p) in enumerate(zip(combined, proprietary))
+                   if not c.analytic <= p.analytic * (1 + 1e-9)]
+            checks.append(_check(f"{metric}: combined <= proprietary pointwise", bad))
+    return checks
+
+
+def check_trends(table: cli.SweepTable) -> list[CheckResult]:
+    """Assert the figure-specific monotonicity and ordering properties."""
+    spec = table.spec
+    checks: list[CheckResult] = []
+    if table.errors:
+        checks.append(CheckResult("no errored points", False,
+                                  f"{len(table.errors)} rows errored"))
+
+    if spec.variable == "P_h":
+        no_sharing = table.series("outage_no_sharing")
+        sharing = table.series("outage_sharing")
+        if no_sharing:
+            if table.base.noise_psd == 0.0:
+                checks.append(_check("outage_no_sharing constant in P_h (noise-free)",
+                                     _constant(no_sharing, rel_tol=1e-12)))
+            elif all(r.sim_mean is not None for r in no_sharing):
+                spread = (max(r.analytic for r in no_sharing)
+                          - min(r.analytic for r in no_sharing))
+                width = float(np.mean([r.sim_ci_hi - r.sim_ci_lo for r in no_sharing]))
+                flat = spread <= width
+                inside = all(abs(r.sim_mean - r.analytic)
+                             <= 1.5 * (r.sim_ci_hi - r.sim_ci_lo) for r in no_sharing)
+                checks.append(CheckResult(
+                    "outage_no_sharing flat within simulation CI",
+                    flat and inside,
+                    f"analytic spread {spread:.3g} vs mean CI width {width:.3g}"))
+            else:
+                spread = (max(r.analytic for r in no_sharing)
+                          - min(r.analytic for r in no_sharing))
+                sharing_spread = (max(r.analytic for r in sharing)
+                                  - min(r.analytic for r in sharing)) if sharing else math.inf
+                checks.append(CheckResult(
+                    "outage_no_sharing nearly flat in P_h",
+                    spread <= 0.2 * sharing_spread,
+                    f"spread {spread:.3g} vs sharing spread {sharing_spread:.3g}"))
+        if sharing:
+            checks.append(_check("outage_sharing decreasing in P_h",
+                                 _monotone(sharing, -1)))
+    elif spec.variable == "lambda_h":
+        for metric in cli.OUTAGE_METRICS:
+            rows = table.series(metric)
+            if rows:
+                checks.append(_check(f"{metric} increasing in lambda_h",
+                                     _monotone(rows, +1)))
+    elif spec.variable == "P_m_shared":
+        rows = table.series("outage_sharing")
+        if rows:
+            checks.append(_check("outage_sharing increasing in P_m_shared",
+                                 _monotone(rows, +1)))
+        rows = table.series("outage_no_sharing")
+        if rows:
+            checks.append(_check("outage_no_sharing constant in P_m_shared",
+                                 _constant(rows, rel_tol=1e-12)))
+    elif spec.variable == "epsilon":
+        checks.extend(_epsilon_checks(table))
+    elif spec.variable in ("lambda_md", "lambda_mu"):
+        for mode in spec.modes:
+            name = cli.MODE_NAMES[mode]
+            for metric in ("mean_delay", "jitter"):
+                if metric not in spec.metrics:
+                    continue
+                rows = table.series(metric, name)
+                if rows:
+                    checks.append(_check(
+                        f"{metric}[{name}] increasing in {spec.variable}",
+                        _monotone(rows, +1)))
+        checks.extend(_ordering_checks(table))
+    return checks
+
+
+def _trend_figure(name: str, tables: list[cli.SweepTable], start: float) -> CheckResult:
+    """Fold the trend checks of one figure's sweeps into a single result."""
+    checks = [c for table in tables for c in check_trends(table)]
     failing = [c for c in checks if not c.passed]
     if failing:
         detail = "; ".join(f"{c.name}: {c.detail}" for c in failing)
@@ -225,46 +373,41 @@ def check_trend_suite(params: ScenarioParams, seed: int = 505) -> list[CheckResu
     start = time.monotonic()
     flat_spec = cli.SweepSpec("P_h", 24.0, 40.0, 11, metrics=cli.OUTAGE_METRICS,
                               trials=100_000, seed=seed)
-    with_noise = cli.check_trends(cli.run_sweep(flat_spec, params))
-    noise_free = cli.check_trends(cli.run_sweep(
-        cli.SweepSpec("P_h", 24.0, 40.0, 11, metrics=("outage_no_sharing",), seed=seed),
-        with_updates(params, noise_psd=0.0)))
-    results.append(_trend_result("7a outage vs HBS power", [with_noise, noise_free], start))
+    noise_free_spec = cli.SweepSpec("P_h", 24.0, 40.0, 11,
+                                    metrics=("outage_no_sharing",), seed=seed)
+    results.append(_trend_figure("7a outage vs HBS power", [
+        cli.run_sweep(flat_spec, params),
+        cli.run_sweep(noise_free_spec, with_updates(params, noise_psd=0.0))], start))
 
     start = time.monotonic()
-    report = cli.check_trends(cli.run_sweep(
+    results.append(_trend_figure("7b outage vs HBS density", [cli.run_sweep(
         cli.SweepSpec("lambda_h", 1e-5, 1e-3, 11, metrics=cli.OUTAGE_METRICS, seed=seed),
-        params))
-    results.append(_trend_result("7b outage vs HBS density", [report], start))
+        params)], start))
 
     start = time.monotonic()
-    report = cli.check_trends(cli.run_sweep(
+    results.append(_trend_figure("7c outage vs MBS shared power", [cli.run_sweep(
         cli.SweepSpec("P_m_shared", 10.0, 30.0, 11, metrics=cli.OUTAGE_METRICS, seed=seed),
-        params))
-    results.append(_trend_result("7c outage vs MBS shared power", [report], start))
+        params)], start))
 
     start = time.monotonic()
-    report = cli.check_trends(cli.run_sweep(
+    results.append(_trend_figure("7d delay/jitter vs outage tolerance", [cli.run_sweep(
         cli.SweepSpec("epsilon", 0.006, 0.03, 11, metrics=cli.DELAY_METRICS,
                       modes=shared_modes, seed=seed),
-        params))
-    results.append(_trend_result("7d delay/jitter vs outage tolerance", [report], start))
+        params)], start))
 
     start = time.monotonic()
-    report = cli.check_trends(cli.run_sweep(
+    results.append(_trend_figure("7e delay/jitter vs arrival rate", [cli.run_sweep(
         cli.SweepSpec("lambda_md", 20.0, 200.0, 10, metrics=cli.DELAY_METRICS,
                       modes=versus_modes, seed=seed),
-        params))
-    results.append(_trend_result("7e delay/jitter vs arrival rate", [report], start))
+        params)], start))
 
     start = time.monotonic()
     # jitter grows with density only once waiting variance dominates; the
     # default arrival rate (100/s) sits in that regime
-    report = cli.check_trends(cli.run_sweep(
+    results.append(_trend_figure("7f delay/jitter vs device density", [cli.run_sweep(
         cli.SweepSpec("lambda_mu", 0.005, 0.02, 10, metrics=cli.DELAY_METRICS,
                       modes=versus_modes, seed=seed),
-        params))
-    results.append(_trend_result("7f delay/jitter vs device density", [report], start))
+        params)], start))
     return results
 
 

@@ -1,20 +1,10 @@
 import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from specshare.geometry import (
-    ChannelRealization,
-    Link,
-    aggregate_interference,
-    instantaneous_sinr,
-    sample_channel,
-    sample_fading,
     sample_interference_batch,
-    sample_ppp,
-    sample_service_delay,
     sample_service_delays,
     sample_total_capacities,
 )
@@ -23,135 +13,43 @@ from specshare.model import ScenarioParams, ServiceMode, validate, with_updates
 PARAMS = validate(ScenarioParams())
 
 
-def test_sample_ppp_zero_density_is_empty():
-    assert sample_ppp(0.0, 1000.0, np.random.default_rng(0)).size == 0
+def test_interference_batch_zero_density_is_zero():
+    field = sample_interference_batch(1.0, 0.0, 1000.0, 4.0, 100, np.random.default_rng(0))
+    assert field.shape == (100,) and np.all(field == 0.0)
 
 
-def test_sample_ppp_mean_count():
-    rng = np.random.default_rng(1)
-    draws = 4000
-    counts = [sample_ppp(1e-4, 1000.0, rng).size for _ in range(draws)]
+def test_interference_batch_mean_point_count():
+    # with alpha = 0 every point contributes its unit-mean fading gain, so the
+    # field is compound Poisson: mean lambda pi R^2, variance twice that
+    n = 4000
+    field = sample_interference_batch(1.0, 1e-4, 1000.0, 0.0, n, np.random.default_rng(1))
     expected = 1e-4 * math.pi * 1000.0 ** 2
-    standard_error = math.sqrt(expected / draws)
-    assert abs(np.mean(counts) - expected) <= 3 * standard_error
+    assert abs(field.mean() - expected) <= 3 * math.sqrt(2 * expected / n)
 
 
-def test_sample_ppp_radial_law():
-    # area-uniform points make squared radius / squared disk radius uniform
-    rng = np.random.default_rng(2)
-    radii = np.concatenate([sample_ppp(1e-4, 500.0, rng) for _ in range(150)])
-    assert radii.size >= 10_000
-    pvalue = stats.kstest(radii ** 2 / 500.0 ** 2, "uniform").pvalue
-    assert pvalue > 0.01
-
-
-def test_sample_ppp_superposition():
+def test_interference_batch_superposition():
+    # two independent fields superpose to one field of the summed density
     rng = np.random.default_rng(3)
-    split = [sample_ppp(4e-5, 500.0, rng).size + sample_ppp(6e-5, 500.0, rng).size
-             for _ in range(2000)]
-    merged = [sample_ppp(1e-4, 500.0, rng).size for _ in range(2000)]
+    split = sample_interference_batch(1.0, 4e-5, 500.0, 4.0, 5000, rng) \
+        + sample_interference_batch(1.0, 6e-5, 500.0, 4.0, 5000, rng)
+    merged = sample_interference_batch(1.0, 1e-4, 500.0, 4.0, 5000, rng)
     assert stats.ks_2samp(split, merged).pvalue > 0.01
 
 
-def test_sample_fading_moments():
-    rng = np.random.default_rng(4)
-    gains = np.array([sample_fading(rng) for _ in range(1000)])
-    big = rng.exponential(size=1_000_000)  # same distribution family, bulk draw
-    assert 0.997 <= big.mean() <= 1.003
-    assert abs(np.mean(big > 1.0) - math.exp(-1)) <= 0.002
-    assert abs(big.var() - 1.0) <= 0.01
-    assert gains.min() >= 0.0
-
-
-def test_aggregate_interference_empty():
-    empty = ChannelRealization(np.empty(0), np.empty(0), 1.0)
-    assert aggregate_interference(empty, 1.0, 4.0) == 0.0
-
-
-def test_aggregate_interference_single_point():
-    one = ChannelRealization(np.array([10.0]), np.array([1.0]), 1.0)
-    assert aggregate_interference(one, 1.0, 4.0) == pytest.approx(1e-4, rel=1e-12)
-
-
-def test_aggregate_interference_campbell_mean():
-    # closed-form oracle for the field restricted to distances >= r_min:
-    # mean = power * lambda * 2 pi * (r_min^(2-a) - R^(2-a)) / (a - 2)
-    power, density, radius, alpha, r_min = 2.0, 1e-3, 200.0, 4.0, 10.0
-    expected = power * density * 2 * math.pi \
-        * (r_min ** (2 - alpha) - radius ** (2 - alpha)) / (alpha - 2)
-    rng = np.random.default_rng(5)
-    totals = []
-    for _ in range(100_000):
-        distances = sample_ppp(density, radius, rng)
-        keep = distances >= r_min
-        realization = ChannelRealization(distances[keep],
-                                         rng.exponential(size=int(keep.sum())), 1.0)
-        totals.append(aggregate_interference(realization, power, alpha))
-    assert np.mean(totals) == pytest.approx(expected, rel=0.02)
-
-
-def test_mismatched_lengths_rejected():
-    with pytest.raises(ValueError):
-        ChannelRealization(np.array([1.0]), np.empty(0), 1.0)
-
-
-def test_sinr_proprietary_reference_value():
-    # hand evaluation: 0.2512 W * 100 devices * 10^-4 path gain / (1e-10 * 1e8)
-    realization = ChannelRealization(np.empty(0), np.empty(0), serving_gain=1.0)
-    sinr = instantaneous_sinr(PARAMS, realization, Link.MTC_PROPRIETARY)
-    assert sinr == pytest.approx(0.251188643150958, rel=1e-12)
-
-
-def test_sinr_zero_serving_gain():
-    realization = ChannelRealization(np.array([50.0]), np.array([1.0]), 0.0, 0.3)
-    for link in Link:
-        assert instantaneous_sinr(PARAMS, realization, link) == 0.0
-
-
-def test_sinr_sharing_reduces_to_no_sharing_at_zero_cross_gain():
-    realization = ChannelRealization(np.array([40.0, 90.0]), np.array([0.5, 2.0]),
-                                     1.3, cross_gain=0.0)
-    with_cross = instantaneous_sinr(PARAMS, realization, Link.HTC_SHARING)
-    without = instantaneous_sinr(PARAMS, realization, Link.HTC_NO_SHARING)
-    assert with_cross == pytest.approx(without, rel=1e-15)
-
-
-def test_sinr_sharing_requires_cross_gain():
-    realization = ChannelRealization(np.array([40.0]), np.array([1.0]), 1.0)
-    with pytest.raises(ValueError):
-        instantaneous_sinr(PARAMS, realization, Link.HTC_SHARING)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=1e-3, max_value=50.0), st.floats(min_value=1e-3, max_value=50.0))
-def test_sinr_decreases_in_interferer_gain(gain, bump):
-    base = ChannelRealization(np.array([30.0, 120.0]), np.array([gain, 1.0]), 2.0)
-    bumped = ChannelRealization(np.array([30.0, 120.0]), np.array([gain + bump, 1.0]), 2.0)
-    assert instantaneous_sinr(PARAMS, bumped, Link.MTC_SHARED) \
-        < instantaneous_sinr(PARAMS, base, Link.MTC_SHARED)
-
-
-def test_service_delay_inverts_at_forced_gain():
-    # choose the proprietary fading gain that makes the delay land on t exactly
-    p = PARAMS
-    t = 2e-3
-    required_snr = 2.0 ** (p.u_m * p.n_m / (p.b_m * t)) - 1.0
-    g0 = required_snr * p.noise_psd * p.b_m / (p.p_m * p.n_m * p.y0 ** (-p.alpha))
-    realization = ChannelRealization(np.empty(0), np.empty(0), serving_gain=g0)
-    snr = instantaneous_sinr(p, realization, Link.MTC_PROPRIETARY)
-    delay = p.u_m * p.n_m / (p.b_m * math.log2(1.0 + snr))
-    assert delay == pytest.approx(t, rel=1e-12)
-
-
-def test_service_delay_decreases_in_serving_gain():
-    p = PARAMS
-    distances, gains = np.array([30.0]), np.array([1.0])
-    delays = []
-    for serving in (0.5, 1.0, 2.0, 4.0):
-        realization = ChannelRealization(distances, gains, serving)
-        sinr = instantaneous_sinr(p, realization, Link.MTC_SHARED)
-        delays.append(p.u_m * p.n_m / (p.b_h * math.log2(1.0 + sinr)))
-    assert all(b < a for a, b in zip(delays, delays[1:]))
+def test_interference_batch_laplace_functional():
+    # PGFL of a PPP on a disk with unit-mean exponential fading:
+    # E[exp(-s I)] = exp(-2 pi lambda int_0^R r sP r^-a / (1 + sP r^-a) dr);
+    # s is chosen so that the transform sits near 0.5
+    power, density, radius, alpha, s = 1.0, 1e-4, 300.0, 4.0, 2e6
+    field = sample_interference_batch(power, density, radius, alpha, 50_000,
+                                      np.random.default_rng(12))
+    samples = np.exp(-s * field)
+    integral, _ = integrate.quad(lambda r: r / (1.0 + r ** alpha / (s * power)),
+                                 0.0, radius)
+    expected = math.exp(-2.0 * math.pi * density * integral)
+    assert 0.4 < expected < 0.6
+    std_error = samples.std(ddof=1) / math.sqrt(samples.size)
+    assert abs(samples.mean() - expected) <= 3 * std_error
 
 
 def test_combined_never_slower_than_shared_on_common_field():
@@ -164,38 +62,10 @@ def test_combined_never_slower_than_shared_on_common_field():
     assert np.all(combined <= shared)
 
 
-def test_scalar_and_batch_samplers_agree_in_distribution():
-    rng = np.random.default_rng(8)
-    scalar = np.array([sample_service_delay(PARAMS, ServiceMode.COMBINED, rng)
-                       for _ in range(20_000)])
-    batch = sample_service_delays(PARAMS, ServiceMode.COMBINED, 20_000,
-                                  np.random.default_rng(9))
-    assert stats.ks_2samp(scalar, batch).pvalue > 0.01
-
-
 def test_service_delays_positive():
     delays = sample_service_delays(PARAMS, ServiceMode.PROPRIETARY_ONLY, 10_000,
                                    np.random.default_rng(10))
     assert np.all(delays > 0.0)
-
-
-def test_sample_channel_link_shapes():
-    rng = np.random.default_rng(11)
-    prop = sample_channel(PARAMS, Link.MTC_PROPRIETARY, rng)
-    assert prop.interferer_distances.size == 0 and prop.cross_gain is None
-    sharing = sample_channel(PARAMS, Link.HTC_SHARING, rng)
-    assert sharing.cross_gain is not None
-    shared = sample_channel(PARAMS, Link.MTC_SHARED, rng)
-    assert shared.cross_gain is None
-    assert shared.interferer_distances.size == shared.interferer_gains.size
-
-
-def test_interference_batch_matches_scalar_path():
-    # same Campbell mean whether fields are drawn one by one or in bulk
-    rng = np.random.default_rng(12)
-    bulk = sample_interference_batch(1.0, 1e-4, 300.0, 4.0, 50_000, rng)
-    assert bulk.shape == (50_000,)
-    assert np.all(bulk >= 0.0)
 
 
 def test_capacity_draw_order_is_seed_stable():

@@ -72,6 +72,12 @@ def test_parse_config_unknown_key_has_line_number():
         parse_config("alpha = 4\nbogus = 1\n")
 
 
+def test_parse_config_rejects_trials_key():
+    # the Monte Carlo trial count comes from `sweep --trials`, not the scenario
+    with pytest.raises(ConfigError, match=r"line 1: unknown key 'trials'"):
+        parse_config("trials = 1000\n")
+
+
 def test_parse_config_malformed_number_has_line_number():
     with pytest.raises(ConfigError, match=r"line 1: malformed number 'ten'"):
         parse_config("x0_m = ten")

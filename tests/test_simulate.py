@@ -11,7 +11,6 @@ from specshare.simulate import (
     estimate_outage_mc,
     lindley_waits,
     queue_stats_from_trace,
-    run_mg1,
     run_mg1_detailed,
 )
 
@@ -100,8 +99,8 @@ class TestLindley:
 class TestQueueRun:
     def test_single_packet(self):
         lonely = with_updates(PARAMS, lambda_md=1e-9)
-        stats = run_mg1(lonely, ServiceMode.PROPRIETARY_ONLY, 1,
-                        np.random.default_rng(10))
+        stats = run_mg1_detailed(lonely, ServiceMode.PROPRIETARY_ONLY, 1,
+                                 np.random.default_rng(10))
         assert stats.mean_waiting == 0.0
         assert stats.mean_sojourn > 0.0
         assert stats.n_packets == 1 and stats.warmup_discarded == 0
@@ -118,12 +117,15 @@ class TestQueueRun:
         assert stats.fail_fraction == 0.0
 
     def test_deterministic_under_seed(self):
-        a = run_mg1(PARAMS, ServiceMode.PROPRIETARY_ONLY, 5000, np.random.default_rng(12))
-        b = run_mg1(PARAMS, ServiceMode.PROPRIETARY_ONLY, 5000, np.random.default_rng(12))
+        a = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 5000,
+                             np.random.default_rng(12))
+        b = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 5000,
+                             np.random.default_rng(12))
         assert a == b
 
     def test_stats_invariants(self):
-        stats = run_mg1(PARAMS, ServiceMode.SHARED_ONLY, 20_000, np.random.default_rng(13))
+        stats = run_mg1_detailed(PARAMS, ServiceMode.SHARED_ONLY, 20_000,
+                                 np.random.default_rng(13))
         assert stats.mean_sojourn >= stats.mean_waiting
         assert stats.sojourn_variance >= 0.0
         assert 0.0 <= stats.fail_fraction <= 1.0
@@ -134,33 +136,34 @@ class TestQueueRun:
         for k, (rho, tol) in enumerate([(0.2, 0.03), (0.5, 0.03), (0.8, 0.05)]):
             scenario = with_updates(PARAMS, lambda_md=rho / moments.m1)
             expected = analytic.mg1_waiting(moments, scenario.lambda_md).mean
-            stats = run_mg1(scenario, ServiceMode.PROPRIETARY_ONLY, 400_000,
-                            np.random.default_rng(140 + k))
+            stats = run_mg1_detailed(scenario, ServiceMode.PROPRIETARY_ONLY, 400_000,
+                                     np.random.default_rng(140 + k))
             assert stats.mean_waiting == pytest.approx(expected, rel=tol)
 
     def test_fail_fraction_matches_closed_form(self):
         tm = analytic.truncated_service_moments(PARAMS, ServiceMode.PROPRIETARY_ONLY)
-        stats = run_mg1(PARAMS, ServiceMode.PROPRIETARY_ONLY, 200_000,
-                        np.random.default_rng(15))
+        stats = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 200_000,
+                                 np.random.default_rng(15))
         kept = stats.n_packets - stats.warmup_discarded
         se = math.sqrt(tm.fail_prob * (1 - tm.fail_prob) / kept)
         assert abs(stats.fail_fraction - tm.fail_prob) <= 3 * se
 
     def test_error_bars_reported(self):
-        stats, bars = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 50_000,
-                                       np.random.default_rng(16))
+        stats = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 50_000,
+                                 np.random.default_rng(16))
         kept = stats.n_packets - stats.warmup_discarded
-        assert bars.se_mean_sojourn == pytest.approx(
+        assert stats.se_mean_sojourn == pytest.approx(
             math.sqrt(stats.sojourn_variance / kept), rel=1e-6)
-        assert bars.se_sojourn_variance > 0.0
+        assert stats.se_sojourn_variance > 0.0
 
     def test_requires_positive_arrival_rate(self):
         with pytest.raises(ValueError):
-            run_mg1(with_updates(PARAMS, lambda_md=0.0), ServiceMode.PROPRIETARY_ONLY,
-                    100, np.random.default_rng(17))
+            run_mg1_detailed(with_updates(PARAMS, lambda_md=0.0),
+                             ServiceMode.PROPRIETARY_ONLY, 100, np.random.default_rng(17))
 
     def test_unstable_run_is_flagged(self, caplog):
         flooded = with_updates(PARAMS, lambda_md=5000.0)
         with caplog.at_level("WARNING", logger="specshare.simulate"):
-            run_mg1(flooded, ServiceMode.PROPRIETARY_ONLY, 5000, np.random.default_rng(18))
+            run_mg1_detailed(flooded, ServiceMode.PROPRIETARY_ONLY, 5000,
+                             np.random.default_rng(18))
         assert any("load" in record.message for record in caplog.records)
