@@ -20,7 +20,6 @@ from .model import (
 )
 from .quadrature import (
     QuadratureError,
-    QuadratureSpec,
     cdf_moment_integrals,
     convolve_cdf_pdf,
     integrate,

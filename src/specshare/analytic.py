@@ -329,20 +329,17 @@ def mg1_waiting(moments: TruncatedMoments, lambda_md: float) -> WaitingTime:
 def delay_report(params: ScenarioParams, mode: ServiceMode) -> DelayReport:
     """Mean delay and jitter of the downlink queue in the given mode.
 
-    When epsilon is set and the mode transmits on the shared band, the
-    shared-band power is first capped by the outage-tolerance budget.
+    Takes the effective scenario: params.p_m_shared is used as given, so a
+    caller with an outage tolerance passes apply_power_budget(params).
     """
-    effective = params
-    if mode is not ServiceMode.PROPRIETARY_ONLY and params.epsilon is not None:
-        effective = apply_power_budget(params)
-    tm = truncated_service_moments(effective, mode)
-    wt = mg1_waiting(tm, effective.lambda_md)
+    tm = truncated_service_moments(params, mode)
+    wt = mg1_waiting(tm, params.lambda_md)
     service_variance = max(0.0, tm.m2 - tm.m1 ** 2)
     return DelayReport(
         mean_service=tm.m1,
         mean_waiting=wt.mean,
         mean_delay=tm.m1 + wt.mean,
         jitter=service_variance + wt.variance,
-        load=effective.lambda_md * tm.m1,
+        load=params.lambda_md * tm.m1,
         fail_prob=tm.fail_prob,
     )

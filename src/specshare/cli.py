@@ -3,10 +3,12 @@ output, and the entry points of the trend checks and the verify suite, which
 live in ``specshare.verify``.
 
 Sweep grids are linear in the swept variable, except transmit powers which
-sweep linearly in dBm (the value column then holds dBm). Grid points are
-evaluated concurrently with per-point seeds derived from the master seed, so
-output is byte-identical regardless of worker count; SPECSHARE_THREADS caps
-the worker pool.
+sweep linearly in dBm (the value column then holds dBm). Every scenario, be
+it a grid point or the one `eval` reports on, is resolved once: the
+outage tolerance caps its shared-band power before any metric is computed.
+Grid points are evaluated concurrently with per-point random streams derived
+from (master seed, point index), so output is byte-identical regardless of
+worker count; SPECSHARE_THREADS caps the worker pool.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,10 +42,11 @@ _PLAIN_FIELDS = {"lambda_h": "lambda_h", "epsilon": "epsilon",
 OUTAGE_METRICS = ("outage_no_sharing", "outage_sharing")
 DELAY_METRICS = ("mean_delay", "jitter")
 METRICS = OUTAGE_METRICS + DELAY_METRICS
-MODE_NAMES = {ServiceMode.SHARED_ONLY: "shared",
-              ServiceMode.PROPRIETARY_ONLY: "proprietary",
-              ServiceMode.COMBINED: "combined"}
-_MODES_BY_NAME = {name: mode for mode, name in MODE_NAMES.items()}
+MODE_CHOICES = sorted(mode.value for mode in ServiceMode)
+_SHARED_BAND_MODES = (ServiceMode.SHARED_ONLY, ServiceMode.COMBINED)
+# delay metric -> (DelayReport field, QueueStats estimate, its standard error)
+_DELAY_FIELDS = {"mean_delay": ("mean_delay", "mean_sojourn", "se_mean_sojourn"),
+                 "jitter": ("jitter", "sojourn_variance", "se_sojourn_variance")}
 
 CSV_HEADER = "variable,value,metric,mode,analytic,sim_mean,sim_ci_lo,sim_ci_hi,n"
 
@@ -55,9 +58,7 @@ class SweepSpec:
     stop: float
     steps: int
     metrics: tuple[str, ...] = METRICS
-    modes: tuple[ServiceMode, ...] = (ServiceMode.SHARED_ONLY,
-                                      ServiceMode.PROPRIETARY_ONLY,
-                                      ServiceMode.COMBINED)
+    modes: tuple[ServiceMode, ...] = tuple(ServiceMode)
     trials: int = 0   # Monte Carlo trials per outage point; 0 = analytic only
     packets: int = 0  # simulated packets per delay point; 0 = analytic only
     seed: int = 0
@@ -69,6 +70,8 @@ class SweepSpec:
             raise ValueError("sweep start must be below stop")
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
@@ -106,88 +109,93 @@ class SweepTable:
 
 def _point_params(base: ScenarioParams, spec: SweepSpec, value: float) -> ScenarioParams:
     if spec.variable in _POWER_FIELDS:
-        params = with_updates(base, **{_POWER_FIELDS[spec.variable]: dbm_to_watts(value)})
-    else:
-        params = with_updates(base, **{_PLAIN_FIELDS[spec.variable]: value})
-    if spec.variable == "epsilon":
-        # the tolerance determines the admissible shared-band power
-        params = analytic.apply_power_budget(params)
-    return params
+        return with_updates(base, **{_POWER_FIELDS[spec.variable]: dbm_to_watts(value)})
+    return with_updates(base, **{_PLAIN_FIELDS[spec.variable]: value})
 
 
-def _error_rows(spec: SweepSpec, value: float, message: str) -> list[SweepRow]:
-    rows = []
-    for metric in spec.metrics:
-        if metric in OUTAGE_METRICS:
-            rows.append(SweepRow(value, metric, "", math.nan, None, None, None, 0, message))
-        else:
-            for mode in spec.modes:
-                rows.append(SweepRow(value, metric, MODE_NAMES[mode],
-                                     math.nan, None, None, None, 0, message))
-    return rows
+def _resolve(params: ScenarioParams) -> tuple[ScenarioParams, str]:
+    """The effective scenario, with the shared-band power capped by epsilon,
+    and the reason no shared-band power is admissible ("" when one is).
+
+    An infeasible tolerance fails only the cells that need the shared band,
+    outage_sharing and the shared and combined modes; outage_no_sharing and
+    the proprietary mode are computed from the scenario as configured.
+    """
+    try:
+        return analytic.apply_power_budget(params), ""
+    except InfeasiblePowerError as exc:
+        return params, str(exc)
+
+
+def _outage(params: ScenarioParams, metric: str, infeasible: str) -> float | str:
+    """The outage metric, or why it cannot be computed."""
+    if metric == "outage_no_sharing":
+        return analytic.outage_no_sharing(params)
+    return infeasible if infeasible else analytic.outage_with_sharing(params)
+
+
+def _delay(params: ScenarioParams, mode: ServiceMode,
+           infeasible: str) -> analytic.DelayReport | str:
+    """The mode's delay report, or why it cannot be computed."""
+    if infeasible and mode in _SHARED_BAND_MODES:
+        return infeasible
+    try:
+        return analytic.delay_report(params, mode)
+    except (UnstableQueueError, QuadratureError) as exc:
+        return str(exc)
 
 
 def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
                     value: float) -> list[SweepRow]:
-    point_seed = spec.seed ^ index
+    """One row per (metric, mode) cell: its value, or nan and an error message."""
+    # one stream per point, shared by the paired outage estimates and by
+    # every mode's queue run
+    rng = lambda: np.random.default_rng([spec.seed, index])
     try:
-        params = _point_params(base, spec, value)
-    except (InfeasiblePowerError, ValidationError, ValueError) as exc:
-        return _error_rows(spec, value, str(exc))
-
-    def outage_row(metric: str) -> SweepRow:
-        sharing = metric == "outage_sharing"
-        exact = (analytic.outage_with_sharing(params) if sharing
-                 else analytic.outage_no_sharing(params))
-        if spec.trials > 0:
-            est = simulate.estimate_outage_mc(params, sharing, spec.trials,
-                                              np.random.default_rng(point_seed))
-            half = 1.96 * est.std_error
-            return SweepRow(value, metric, "", exact, est.mean,
-                            est.mean - half, est.mean + half, est.n_trials)
-        return SweepRow(value, metric, "", exact, None, None, None, 0)
-
+        params, infeasible = _resolve(_point_params(base, spec, value))
+        failed = ""
+    except (ValidationError, ValueError) as exc:
+        failed = str(exc)
     # one delay evaluation (and at most one queue run) per mode, shared by
     # every delay metric of this grid point
-    per_mode: dict[ServiceMode, dict | str] = {}
-    if any(m in DELAY_METRICS for m in spec.metrics):
-        for mode in spec.modes:
-            try:
-                report = analytic.delay_report(params, mode)
-            except (UnstableQueueError, InfeasiblePowerError, QuadratureError) as exc:
-                per_mode[mode] = str(exc)
-                continue
-            cell = {"mean_delay": (report.mean_delay, None, 0),
-                    "jitter": (report.jitter, None, 0)}
-            if spec.packets > 0:
-                stats = simulate.run_mg1_detailed(
-                    params, mode, spec.packets, np.random.default_rng(point_seed))
-                kept = stats.n_packets - stats.warmup_discarded
-                cell = {"mean_delay": (report.mean_delay,
-                                       (stats.mean_sojourn, stats.se_mean_sojourn), kept),
-                        "jitter": (report.jitter,
-                                   (stats.sojourn_variance, stats.se_sojourn_variance), kept)}
-            per_mode[mode] = cell
+    per_mode: dict[ServiceMode, tuple] = {}
 
-    rows: list[SweepRow] = []
+    def cell(metric: str, mode: ServiceMode | None):
+        """(analytic, sim mean or None, sim se, sample count) or an error message."""
+        if failed:
+            return failed
+        if mode is None:
+            exact = _outage(params, metric, infeasible)
+            if isinstance(exact, str):
+                return exact
+            if spec.trials <= 0:
+                return exact, None, None, 0
+            est = simulate.estimate_outage_mc(params, metric == "outage_sharing",
+                                              spec.trials, rng())
+            return exact, est.mean, est.std_error, est.n_trials
+        if mode not in per_mode:
+            report, stats = _delay(params, mode, infeasible), None
+            if spec.packets > 0 and not isinstance(report, str):
+                stats = simulate.run_mg1_detailed(params, mode, spec.packets, rng())
+            per_mode[mode] = report, stats
+        report, stats = per_mode[mode]
+        if isinstance(report, str):
+            return report
+        exact_field, mean_field, se_field = _DELAY_FIELDS[metric]
+        if stats is None:
+            return getattr(report, exact_field), None, None, 0
+        return (getattr(report, exact_field), getattr(stats, mean_field),
+                getattr(stats, se_field), stats.n_packets - stats.warmup_discarded)
+
+    rows = []
     for metric in spec.metrics:
-        if metric in OUTAGE_METRICS:
-            rows.append(outage_row(metric))
-            continue
-        for mode in spec.modes:
-            name = MODE_NAMES[mode]
-            outcome = per_mode[mode]
-            if isinstance(outcome, str):
-                rows.append(SweepRow(value, metric, name, math.nan,
-                                     None, None, None, 0, outcome))
-                continue
-            exact, sim, kept = outcome[metric]
-            if sim is None:
-                rows.append(SweepRow(value, metric, name, exact, None, None, None, 0))
-            else:
-                mean, se = sim
-                rows.append(SweepRow(value, metric, name, exact, mean,
-                                     mean - 1.96 * se, mean + 1.96 * se, kept))
+        for mode in (None,) if metric in OUTAGE_METRICS else spec.modes:
+            outcome = cell(metric, mode)
+            error = outcome if isinstance(outcome, str) else ""
+            exact, mean, se, n = (math.nan, None, None, 0) if error else outcome
+            ci = (None, None) if mean is None else (mean - 1.96 * se, mean + 1.96 * se)
+            rows.append(SweepRow(value, metric, mode.value if mode else "",
+                                 exact, mean, *ci, n, error))
     return rows
 
 
@@ -247,40 +255,34 @@ def _load_params(path) -> ScenarioParams:
 
 
 def _cmd_eval(args) -> int:
-    params = _load_params(args.config)
+    params, infeasible = _resolve(_load_params(args.config))
     wanted = set(args.metric) if args.metric else None
-
-    def show(name, value):
-        if wanted is None or name in wanted:
-            print(f"{name} = {value!r}")
-
-    show("outage_no_sharing", analytic.outage_no_sharing(params))
-    show("outage_sharing", analytic.outage_with_sharing(params))
-    modes = ([_MODES_BY_NAME[m] for m in args.mode] if args.mode
-             else list(MODE_NAMES))
     status = 0
-    for mode in modes:
-        name = MODE_NAMES[mode]
-        try:
-            report = analytic.delay_report(params, mode)
-        except (UnstableQueueError, InfeasiblePowerError, QuadratureError) as exc:
-            print(f"error[{name}]: {exc}", file=sys.stderr)
+
+    def show(name, outcome):
+        nonlocal status
+        if isinstance(outcome, str):
+            print(f"error[{name}]: {outcome}", file=sys.stderr)
             status = 1
+        elif wanted is None or name in wanted:
+            print(f"{name} = {outcome!r}")
+
+    for metric in OUTAGE_METRICS:
+        show(metric, _outage(params, metric, infeasible))
+    for mode in [ServiceMode(m) for m in args.mode] if args.mode else ServiceMode:
+        report = _delay(params, mode, infeasible)
+        if isinstance(report, str):
+            show(mode.value, report)
             continue
-        show(f"mean_service[{name}]", report.mean_service)
-        show(f"mean_waiting[{name}]", report.mean_waiting)
-        show(f"mean_delay[{name}]", report.mean_delay)
-        show(f"jitter[{name}]", report.jitter)
-        show(f"load[{name}]", report.load)
-        show(f"fail_prob[{name}]", report.fail_prob)
+        for field, value in asdict(report).items():
+            show(f"{field}[{mode.value}]", value)
     return status
 
 
 def _cmd_sweep(args) -> int:
     base = _load_params(args.config)
     metrics = tuple(args.metric) if args.metric else METRICS
-    modes = tuple(_MODES_BY_NAME[m] for m in args.mode) if args.mode \
-        else (ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY, ServiceMode.COMBINED)
+    modes = tuple(ServiceMode(m) for m in args.mode) if args.mode else tuple(ServiceMode)
     spec = SweepSpec(variable=args.var, start=args.start, stop=args.stop,
                      steps=args.steps, metrics=metrics, modes=modes,
                      trials=args.trials, packets=args.packets,
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate closed-form metrics for one scenario")
     p_eval.add_argument("--config", help="key = value config file (defaults when omitted)")
-    p_eval.add_argument("--mode", action="append", choices=sorted(_MODES_BY_NAME),
+    p_eval.add_argument("--mode", action="append", choices=MODE_CHOICES,
                         help="service mode(s) to report; default all")
     p_eval.add_argument("--metric", action="append", help="restrict output to named metrics")
     p_eval.set_defaults(func=_cmd_eval)
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulated packets per delay point (0 = analytic only)")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--metric", action="append", choices=METRICS)
-    p_sweep.add_argument("--mode", action="append", choices=sorted(_MODES_BY_NAME))
+    p_sweep.add_argument("--mode", action="append", choices=MODE_CHOICES)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--check-trends", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -362,7 +364,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValidationError, ValueError, OSError, InfeasiblePowerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,7 +78,7 @@ class ScenarioParams:
     epsilon: float | None = None  # licensed outage tolerance; None = no power cap
     workshop_area: float = 1e4    # area mapping lambda_mu to n_m (m^2)
     mc_radius: float = 1000.0     # interferer-field disk radius for Monte Carlo (m)
-    seed: int = 0                 # master RNG seed
+    seed: int = 0                 # master RNG seed, >= 0
 
 
 def validate(params: ScenarioParams) -> ScenarioParams:
@@ -114,8 +114,8 @@ def validate(params: ScenarioParams) -> ScenarioParams:
             problems.append(f"{name} must be an integer >= 1, got {value!r}")
     if params.epsilon is not None and not (0.0 < params.epsilon < 1.0):
         problems.append("epsilon must lie in (0,1)")
-    if not isinstance(params.seed, int):
-        problems.append(f"seed must be an integer, got {params.seed!r}")
+    if not (isinstance(params.seed, int) and params.seed >= 0):
+        problems.append(f"seed must be an integer >= 0, got {params.seed!r}")
 
     if problems:
         raise ValidationError(problems)

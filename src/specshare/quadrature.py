@@ -9,7 +9,6 @@ convolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,26 +16,14 @@ from scipy import integrate as _scipy_integrate
 
 # exp(-x) underflows to zero (even subnormals) past this point
 _EXP_NEG_CUTOFF = 746.0
+# adaptive quadrature tolerances and subdivision limit, shared by every integral
+REL_TOL = 1e-8
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 2000
 
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to converge within the allowed subdivisions."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 def safe_exp_neg(x):
@@ -51,8 +38,7 @@ def safe_exp_neg(x):
     return result
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
-              spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive estimate of the integral of f over [a, b].
 
     Raises QuadratureError instead of silently returning a low-quality
@@ -64,16 +50,15 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         raise ValueError(f"integration bounds out of order: {a} > {b}")
     result = _scipy_integrate.quad(
         f, a, b,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions, full_output=True,
+        epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=True,
     )
     if len(result) > 3:
         raise QuadratureError(" ".join(str(result[3]).split()))  # one-line message
     return float(result[0])
 
 
-def cdf_moment_integrals(F: Callable[[float], float], t_out: float,
-                         spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float, float]:
+def cdf_moment_integrals(F: Callable[[float], float],
+                         t_out: float) -> tuple[float, float, float]:
     """Integrals of F, t*F, and t^2*F over [0, t_out].
 
     These are exactly the terms subtracted from t_out^k in the truncated
@@ -81,15 +66,14 @@ def cdf_moment_integrals(F: Callable[[float], float], t_out: float,
     """
     if t_out <= 0:
         raise ValueError(f"t_out must be positive, got {t_out}")
-    i1 = integrate(F, 0.0, t_out, spec)
-    i2 = integrate(lambda t: t * F(t), 0.0, t_out, spec)
-    i3 = integrate(lambda t: t * t * F(t), 0.0, t_out, spec)
+    i1 = integrate(F, 0.0, t_out)
+    i2 = integrate(lambda t: t * F(t), 0.0, t_out)
+    i3 = integrate(lambda t: t * t * F(t), 0.0, t_out)
     return i1, i2, i3
 
 
 def convolve_cdf_pdf(F1: Callable[[float], float], f2: Callable[[float], float],
-                     z: float, spec: QuadratureSpec = DEFAULT_SPEC,
-                     u_max: float = math.inf, u_tail: float = 0.0) -> float:
+                     z: float, u_max: float = math.inf, u_tail: float = 0.0) -> float:
     """CDF of the sum of two nonnegative independent variates at z.
 
     Evaluates integral over u in [0, min(z, u_max)] of F1(z - u) * f2(u),
@@ -104,5 +88,5 @@ def convolve_cdf_pdf(F1: Callable[[float], float], f2: Callable[[float], float],
     u_hi = min(z, u_max)
     if u_hi == u_max and F1(z - u_max) >= 1.0 - 1e-12:
         return min(1.0, max(0.0, 1.0 - u_tail))
-    value = integrate(lambda u: F1(z - u) * f2(u), 0.0, u_hi, spec)
+    value = integrate(lambda u: F1(z - u) * f2(u), 0.0, u_hi)
     return min(1.0, max(0.0, value))

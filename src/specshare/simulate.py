@@ -19,6 +19,9 @@ from .model import ScenarioParams, ServiceMode
 
 logger = logging.getLogger(__name__)
 
+# leading fraction of each simulated queue run excluded from its statistics
+WARMUP_FRAC = 0.1
+
 
 @dataclass(frozen=True)
 class ProbEstimate:
@@ -161,7 +164,7 @@ def queue_stats_from_trace(interarrivals, raw_services, t_out: float,
 
 
 def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode, n_packets: int,
-                     rng: np.random.Generator, warmup_frac: float = 0.1) -> QueueStats:
+                     rng: np.random.Generator) -> QueueStats:
     """Simulate the MTC downlink queue: Poisson arrivals, fresh per-packet
     service delays, FCFS, deadline truncation; statistics with error bars.
 
@@ -176,7 +179,7 @@ def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode, n_packets: int,
     interarrivals = arrival_rng.exponential(1.0 / params.lambda_md, size=n_packets)
     raw = geometry.sample_service_delays(params, mode, n_packets, service_rng)
 
-    warmup = min(int(round(warmup_frac * n_packets)), n_packets - 1)
+    warmup = min(int(round(WARMUP_FRAC * n_packets)), n_packets - 1)
     observed_load = params.lambda_md * float(np.minimum(raw, params.t_out).mean())
     if observed_load >= 1.0:
         logger.warning("observed load %.3f >= 1; queue statistics will not converge",

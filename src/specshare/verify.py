@@ -241,7 +241,7 @@ def _epsilon_checks(table: cli.SweepTable) -> list[CheckResult]:
                     for v in table.spec.grid()]
     checks = []
     for mode in table.spec.modes:
-        name = cli.MODE_NAMES[mode]
+        name = mode.value
         if mode is ServiceMode.PROPRIETARY_ONLY:
             continue  # proprietary-only traffic never uses the shared band
         for metric in ("mean_delay", "jitter"):
@@ -270,7 +270,7 @@ def _epsilon_checks(table: cli.SweepTable) -> list[CheckResult]:
 
 def _ordering_checks(table: cli.SweepTable) -> list[CheckResult]:
     checks = []
-    have = {cli.MODE_NAMES[m] for m in table.spec.modes}
+    have = {m.value for m in table.spec.modes}
     if {"combined", "proprietary"} <= have:
         for metric in ("mean_delay", "jitter"):
             if metric not in table.spec.metrics:
@@ -340,7 +340,7 @@ def check_trends(table: cli.SweepTable) -> list[CheckResult]:
         checks.extend(_epsilon_checks(table))
     elif spec.variable in ("lambda_md", "lambda_mu"):
         for mode in spec.modes:
-            name = cli.MODE_NAMES[mode]
+            name = mode.value
             for metric in ("mean_delay", "jitter"):
                 if metric not in spec.metrics:
                     continue
@@ -365,10 +365,16 @@ def _trend_figure(name: str, tables: list[cli.SweepTable], start: float) -> Chec
 
 
 def check_trend_suite(params: ScenarioParams, seed: int = 505) -> list[CheckResult]:
-    """Desk-scale replicas of the reported parameter trends, each asserted."""
+    """Desk-scale replicas of the reported parameter trends, each asserted.
+
+    The outage figures (7a-7c) hold the shared-band power at the scenario's
+    value: a tolerance would re-cap it at every point and pin outage_sharing
+    at epsilon, so they run without one. Figure 7d sweeps the tolerance itself.
+    """
     results = []
     shared_modes = (ServiceMode.SHARED_ONLY, ServiceMode.COMBINED)
     versus_modes = (ServiceMode.PROPRIETARY_ONLY, ServiceMode.COMBINED)
+    fixed_power = with_updates(params, epsilon=None)
 
     start = time.monotonic()
     flat_spec = cli.SweepSpec("P_h", 24.0, 40.0, 11, metrics=cli.OUTAGE_METRICS,
@@ -376,18 +382,18 @@ def check_trend_suite(params: ScenarioParams, seed: int = 505) -> list[CheckResu
     noise_free_spec = cli.SweepSpec("P_h", 24.0, 40.0, 11,
                                     metrics=("outage_no_sharing",), seed=seed)
     results.append(_trend_figure("7a outage vs HBS power", [
-        cli.run_sweep(flat_spec, params),
-        cli.run_sweep(noise_free_spec, with_updates(params, noise_psd=0.0))], start))
+        cli.run_sweep(flat_spec, fixed_power),
+        cli.run_sweep(noise_free_spec, with_updates(fixed_power, noise_psd=0.0))], start))
 
     start = time.monotonic()
     results.append(_trend_figure("7b outage vs HBS density", [cli.run_sweep(
         cli.SweepSpec("lambda_h", 1e-5, 1e-3, 11, metrics=cli.OUTAGE_METRICS, seed=seed),
-        params)], start))
+        fixed_power)], start))
 
     start = time.monotonic()
     results.append(_trend_figure("7c outage vs MBS shared power", [cli.run_sweep(
         cli.SweepSpec("P_m_shared", 10.0, 30.0, 11, metrics=cli.OUTAGE_METRICS, seed=seed),
-        params)], start))
+        fixed_power)], start))
 
     start = time.monotonic()
     results.append(_trend_figure("7d delay/jitter vs outage tolerance", [cli.run_sweep(
@@ -440,8 +446,9 @@ def check_determinism(params: ScenarioParams, seed: int = 606) -> CheckResult:
 
 
 def run_all(params: ScenarioParams) -> list[CheckResult]:
-    """Every acceptance check at full scale, in order."""
-    validate(params)
+    """Every acceptance check at full scale, in order, on the effective
+    scenario: an outage tolerance caps the shared-band power first."""
+    params = analytic.apply_power_budget(validate(params))
     results = [
         check_outage_oracle(params),
         check_power_identity(params),

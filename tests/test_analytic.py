@@ -283,12 +283,13 @@ class TestDelayReport:
 
     def test_epsilon_governs_shared_power(self):
         # a loose tolerance clamps at p_max and must match the uncapped report
-        loose = with_updates(PARAMS, epsilon=0.999)
+        loose = apply_power_budget(with_updates(PARAMS, epsilon=0.999))
         assert delay_report(loose, ServiceMode.SHARED_ONLY) == \
             delay_report(PARAMS, ServiceMode.SHARED_ONLY)
         # a tight (feasible) tolerance lowers the power and slows service
         floor = analytic.outage_no_sharing(PARAMS)
-        tight = with_updates(PARAMS, epsilon=floor + 0.7 * (OUTAGE_SHARING_AT_DEFAULTS - floor))
+        tight = apply_power_budget(with_updates(
+            PARAMS, epsilon=floor + 0.7 * (OUTAGE_SHARING_AT_DEFAULTS - floor)))
         assert delay_report(tight, ServiceMode.SHARED_ONLY).mean_service \
             > delay_report(PARAMS, ServiceMode.SHARED_ONLY).mean_service
 
@@ -314,7 +315,8 @@ class TestDelayReport:
             scenario = with_updates(PARAMS, epsilon=float(eps))
             budget = max_mbs_power(scenario)
             values.append((budget.clamped,
-                           delay_report(scenario, ServiceMode.SHARED_ONLY).mean_delay))
+                           delay_report(apply_power_budget(scenario),
+                                        ServiceMode.SHARED_ONLY).mean_delay))
         unclamped = [v for c, v in values if not c]
         clamped = [v for c, v in values if c]
         assert len(unclamped) >= 2 and len(clamped) >= 2

@@ -29,6 +29,12 @@ N0_w_per_hz = 1.5e-20
 y0_m = 63.8
 """
 
+# between the no-sharing outage (0.0057 at the defaults) and the sharing
+# outage at p_max (0.0156): the tolerance, not p_max, sets the shared power
+BINDING_EPSILON = 0.012
+# below the no-sharing outage: no shared-band power is admissible
+INFEASIBLE_EPSILON = 0.005
+
 
 class TestSweepSpec:
     def test_rejects_unknown_variable(self):
@@ -40,6 +46,10 @@ class TestSweepSpec:
             SweepSpec("lambda_h", 1.0, 1.0, 5)
         with pytest.raises(ValueError):
             SweepSpec("lambda_h", 0.0, 1.0, 1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SweepSpec("lambda_h", 1e-5, 1e-4, 2, seed=-1)
 
     def test_grid_is_linear(self):
         spec = SweepSpec("lambda_md", 10.0, 30.0, 3)
@@ -96,6 +106,29 @@ class TestRunSweep:
         combined = table.series("mean_delay", "combined")
         assert any(r.error for r in proprietary)
         assert all(not r.error for r in combined)
+
+    def test_point_streams_do_not_collide_across_seeds(self):
+        # the proprietary queue ignores epsilon, so equal simulated values at
+        # two points would mean equal random streams
+        def simulated(seed):
+            spec = SweepSpec("epsilon", 0.02, 0.03, 2, metrics=("mean_delay",),
+                             modes=(ServiceMode.PROPRIETARY_ONLY,), packets=2000,
+                             seed=seed)
+            return [row.sim_mean for row in run_sweep(spec, PARAMS).rows]
+
+        seed0, seed1 = simulated(0), simulated(1)
+        assert seed0[1] != seed1[0] and seed0[0] != seed1[1]
+        assert simulated(0) == seed0
+
+    def test_outage_estimates_share_one_stream_per_point(self):
+        # paired trials: sharing only adds interference, so its estimate can
+        # never fall below the no-sharing estimate of the same point
+        spec = SweepSpec("lambda_h", 1e-5, 1e-4, 3, metrics=cli.OUTAGE_METRICS,
+                         trials=5000, seed=3)
+        table = run_sweep(spec, PARAMS)
+        for no, yes in zip(table.series("outage_no_sharing"),
+                           table.series("outage_sharing")):
+            assert yes.sim_mean >= no.sim_mean
 
     def test_simulated_columns_carry_confidence_intervals(self):
         spec = SweepSpec("lambda_h", 1e-5, 1e-4, 2, metrics=("outage_sharing",),
@@ -233,3 +266,91 @@ class TestMain:
         assert "outage_no_sharing = " in captured.out
         assert "mean_delay[proprietary]" not in captured.out
         assert captured.err.startswith("error[proprietary]: ")
+
+
+def _eps_config(tmp_path, epsilon):
+    config = tmp_path / "eps.cfg"
+    config.write_text(f"epsilon = {epsilon}\n")
+    return str(config)
+
+
+def _eval_values(out: str) -> dict[str, float]:
+    return {name: float(value) for name, _, value in
+            (line.partition(" = ") for line in out.splitlines())}
+
+
+class TestOutageTolerance:
+    """epsilon caps the shared-band power once per scenario, for every consumer."""
+
+    def test_eval_reports_outage_at_the_capped_power(self, tmp_path, capsys):
+        status = cli.main(["eval", "--config", _eps_config(tmp_path, BINDING_EPSILON)])
+        values = _eval_values(capsys.readouterr().out)
+        assert status == 0
+        assert abs(values["outage_sharing"] - BINDING_EPSILON) <= 1e-9
+
+    def test_simulated_queue_runs_at_the_capped_power(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        status = cli.main([
+            "sweep", "--config", _eps_config(tmp_path, BINDING_EPSILON),
+            "--var", "lambda_md", "--from", "20", "--to", "50", "--steps", "2",
+            "--packets", "200000", "--mode", "shared", "--metric", "mean_delay",
+            "--out", str(out)])
+        assert status == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            analytic_value, mean, lo, hi = map(float, row.split(",")[4:8])
+            se = (hi - lo) / (2 * 1.96)
+            assert abs(mean - analytic_value) <= 3.0 * se
+
+    def test_infeasible_tolerance_fails_only_shared_band_cells(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        status = cli.main([
+            "sweep", "--config", _eps_config(tmp_path, INFEASIBLE_EPSILON),
+            "--var", "lambda_md", "--from", "20", "--to", "50", "--steps", "2",
+            "--out", str(out)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * (2 + 2 * 3)
+        for _, _, metric, mode, analytic_value, *_ in rows:
+            failed = metric == "outage_sharing" or mode in ("shared", "combined")
+            assert math.isnan(float(analytic_value)) == failed
+        assert err.count("no shared-band power is admissible") == 2 * (1 + 2 * 2)
+
+    def test_eval_infeasible_tolerance_fails_only_shared_band_lines(self, tmp_path, capsys):
+        status = cli.main(["eval", "--config", _eps_config(tmp_path, INFEASIBLE_EPSILON)])
+        captured = capsys.readouterr()
+        assert status == 1
+        values = _eval_values(captured.out)
+        assert math.isfinite(values["outage_no_sharing"])
+        assert math.isfinite(values["mean_delay[proprietary]"])
+        assert set(values) == {"outage_no_sharing"} | {
+            f"{field}[proprietary]" for field in
+            ("mean_service", "mean_waiting", "mean_delay", "jitter", "load", "fail_prob")}
+        errors = captured.err.splitlines()
+        assert [line.partition(":")[0] for line in errors] == [
+            "error[outage_sharing]", "error[shared]", "error[combined]"]
+        assert all("no shared-band power is admissible" in line for line in errors)
+
+    def test_verify_rejects_infeasible_tolerance(self, tmp_path, capsys):
+        status = cli.main(["verify", "--config", _eps_config(tmp_path, INFEASIBLE_EPSILON)])
+        assert status == 2
+        assert "no shared-band power is admissible" in capsys.readouterr().err
+
+
+class TestSeed:
+    def test_negative_sweep_seed_exits_2(self, tmp_path, capsys):
+        status = cli.main([
+            "sweep", "--var", "lambda_h", "--from", "1e-5", "--to", "1e-4",
+            "--steps", "2", "--trials", "1000", "--seed", "-1",
+            "--out", str(tmp_path / "x.csv")])
+        assert status == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed = -3\n")
+        assert cli.main(["eval", "--config", str(config)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err

@@ -115,6 +115,12 @@ def test_validate_integer_counts():
         validate(ScenarioParams(n_h=2.5))
 
 
+def test_validate_rejects_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        validate(ScenarioParams(seed=-1))
+    assert validate(ScenarioParams(seed=0)).seed == 0
+
+
 def test_emit_parse_round_trip_is_bit_exact():
     defaults = validate(ScenarioParams())
     assert parse_config(emit_config(defaults)) == defaults
