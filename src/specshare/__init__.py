@@ -23,7 +23,6 @@ from .quadrature import (
     cdf_moment_integrals,
     convolve_cdf_pdf,
     integrate,
-    safe_exp_neg,
 )
 from .geometry import sample_interference_batch, sample_service_delays
 from .analytic import (
@@ -33,9 +32,8 @@ from .analytic import (
     TruncatedMoments,
     UnstableQueueError,
     apply_power_budget,
-    capacity_cdf_shared,
+    capacity_cdf,
     capacity_pdf_proprietary,
-    combined_capacity_cdf,
     delay_report,
     max_mbs_power,
     mg1_waiting,

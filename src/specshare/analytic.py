@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ScenarioParams, ServiceMode, with_updates
-from .quadrature import cdf_moment_integrals, convolve_cdf_pdf, safe_exp_neg
+from .quadrature import cdf_moment_integrals, convolve_cdf_pdf
 
 # f2 mass ignored beyond the convolution cutoff
 _CONV_TAIL = 1e-12
@@ -140,10 +140,6 @@ def apply_power_budget(params: ScenarioParams) -> ScenarioParams:
     return with_updates(params, p_m_shared=budget.power)
 
 
-def _as_given(values: np.ndarray, scalar_input: bool):
-    return float(values) if scalar_input else values
-
-
 def _shared_coeffs(params: ScenarioParams) -> tuple[float, float]:
     p = params
     c_noise = p.y0 ** p.alpha * p.noise_psd * p.b_h / (p.p_m_shared * p.n_m)
@@ -157,91 +153,46 @@ def _proprietary_coeff(params: ScenarioParams) -> float:
     return p.y0 ** p.alpha * p.noise_psd * p.b_m / (p.p_m * p.n_m)
 
 
-def _capacity_tail(params: ScenarioParams, band: ServiceMode, rate):
-    """P(capacity > rate) on one band: SHARED_ONLY or PROPRIETARY_ONLY.
+def _band_tail(params: ScenarioParams, band: ServiceMode):
+    """P(capacity > rate) on one band (SHARED_ONLY or PROPRIETARY_ONLY), as a
+    plain-float function of the rate in bits/s.
 
     The SINR threshold for rate r is beta = 2^(r/B) - 1; the tail is
-    exp(-(c_noise*beta + c_int*beta^(2/alpha))), with beta = inf (overflow or
-    rate = inf) handled exactly.
+    exp(-(c_noise*beta + c_int*beta^(2/alpha))). Past the overflow and
+    underflow guards it is exactly zero, or one when the band has neither
+    noise nor interference.
     """
     if band is ServiceMode.SHARED_ONLY:
-        bandwidth, two_over_alpha = params.b_h, 2.0 / params.alpha
+        inv_b, two_over_alpha = 1.0 / params.b_h, 2.0 / params.alpha
         c_noise, c_int = _shared_coeffs(params)
     else:
-        bandwidth, two_over_alpha = params.b_m, 1.0
+        inv_b, two_over_alpha = 1.0 / params.b_m, 1.0
         c_noise, c_int = _proprietary_coeff(params), 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        beta = np.exp2(np.asarray(rate, dtype=float) / bandwidth) - 1.0
-        noise_term = np.where(np.isinf(beta), math.inf if c_noise > 0 else 0.0,
-                              c_noise * beta)
-        interference_term = np.where(np.isinf(beta), math.inf if c_int > 0 else 0.0,
-                                     c_int * np.power(beta, two_over_alpha))
-    return safe_exp_neg(noise_term + interference_term)
+    floor = 1.0 if (c_noise == 0.0 and c_int == 0.0) else 0.0
+
+    def tail(rate: float) -> float:
+        e = rate * inv_b
+        if e <= 0.0:  # capacity is nonnegative
+            return 1.0
+        if e > 1020.0:  # 2**e overflows; the exponent is astronomically large
+            return floor
+        beta = 2.0 ** e - 1.0
+        x = c_noise * beta + c_int * beta ** two_over_alpha
+        if x >= 746.0:  # exp(-x) underflows, even to subnormals
+            return floor
+        return math.exp(-x)
+
+    return tail
 
 
-def capacity_cdf_shared(params: ScenarioParams, tau):
-    """CDF of the shared-band capacity B_h log2(1 + SINR) at tau bits/s."""
-    return _as_given(1.0 - _capacity_tail(params, ServiceMode.SHARED_ONLY, tau),
-                     np.isscalar(tau))
-
-
-def capacity_cdf_proprietary(params: ScenarioParams, tau):
-    """CDF of the proprietary-band capacity B_m log2(1 + SNR) at tau bits/s."""
-    return _as_given(1.0 - _capacity_tail(params, ServiceMode.PROPRIETARY_ONLY, tau),
-                     np.isscalar(tau))
-
-
-def capacity_pdf_proprietary(params: ScenarioParams, tau):
-    """Density of the proprietary-band capacity; integrates to one.
+def _proprietary_pdf(params: ScenarioParams):
+    """Density of the proprietary-band capacity, as a plain-float function.
 
     Computed in log space so the double-exponential tail underflows cleanly
     to zero instead of producing inf * 0.
     """
-    scalar = np.isscalar(tau)
-    tau = np.asarray(tau, dtype=float)
     coeff = _proprietary_coeff(params)
     if coeff == 0.0:  # no noise: capacity is almost surely infinite
-        return _as_given(np.zeros_like(tau), scalar)
-    ln2 = math.log(2.0)
-    with np.errstate(over="ignore"):
-        arg = coeff * (np.exp2(tau / params.b_m) - 1.0)
-    log_density = math.log(coeff * ln2 / params.b_m) + tau * (ln2 / params.b_m) - arg
-    density = np.where(log_density < -745.0, 0.0, np.exp(np.maximum(log_density, -745.0)))
-    return _as_given(density, scalar)
-
-
-def proprietary_tail_cutoff(params: ScenarioParams, tail: float = _CONV_TAIL) -> float:
-    """Capacity beyond which the proprietary-band distribution holds < tail mass."""
-    coeff = _proprietary_coeff(params)
-    if coeff == 0.0:
-        return math.inf
-    return params.b_m * math.log2(1.0 + math.log(1.0 / tail) / coeff)
-
-
-def _scalar_shared_cdf(params: ScenarioParams):
-    """Plain-float version of capacity_cdf_shared for quadrature integrands."""
-    c_noise, c_int = _shared_coeffs(params)
-    two_over_alpha = 2.0 / params.alpha
-    inv_bh = 1.0 / params.b_h
-    saturation = 0.0 if (c_noise == 0.0 and c_int == 0.0) else 1.0
-
-    def F1(tau: float) -> float:
-        e = tau * inv_bh
-        if e > 1020.0:  # 2**e overflows; the exponent is astronomically large
-            return saturation
-        beta = 2.0 ** e - 1.0
-        x = c_noise * beta + c_int * beta ** two_over_alpha
-        if x >= 746.0:
-            return saturation
-        return 1.0 - math.exp(-x)
-
-    return F1
-
-
-def _scalar_proprietary_pdf(params: ScenarioParams):
-    """Plain-float version of capacity_pdf_proprietary for quadrature integrands."""
-    coeff = _proprietary_coeff(params)
-    if coeff == 0.0:
         return lambda u: 0.0
     inv_bm = 1.0 / params.b_m
     ln2 = math.log(2.0)
@@ -259,32 +210,69 @@ def _scalar_proprietary_pdf(params: ScenarioParams):
     return f2
 
 
-def combined_capacity_cdf(params: ScenarioParams, z: float) -> float:
-    """CDF of the summed shared + proprietary capacity at z bits/s."""
-    return convolve_cdf_pdf(
-        _scalar_shared_cdf(params), _scalar_proprietary_pdf(params),
-        z, u_max=proprietary_tail_cutoff(params), u_tail=_CONV_TAIL)
+def proprietary_tail_cutoff(params: ScenarioParams, tail: float = _CONV_TAIL) -> float:
+    """Capacity beyond which the proprietary-band distribution holds < tail mass."""
+    coeff = _proprietary_coeff(params)
+    if coeff == 0.0:
+        return math.inf
+    return params.b_m * math.log2(1.0 + math.log(1.0 / tail) / coeff)
+
+
+def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
+    """P(capacity > rate) for the mode, as a plain-float function of the rate.
+
+    The combined capacity is the sum of the independent band capacities; its
+    CDF is the convolution of the shared-band CDF with the proprietary-band
+    density, whose mass beyond the tail cutoff (_CONV_TAIL) is neglected.
+    """
+    if mode is not ServiceMode.COMBINED:
+        return _band_tail(params, mode)
+    shared_tail = _band_tail(params, ServiceMode.SHARED_ONLY)
+    F1 = lambda tau: 1.0 - shared_tail(tau)
+    f2 = _proprietary_pdf(params)
+    u_max = proprietary_tail_cutoff(params)
+    return lambda z: 1.0 - convolve_cdf_pdf(F1, f2, z, u_max=u_max, u_tail=_CONV_TAIL)
+
+
+def _service_cdf(params: ScenarioParams, mode: ServiceMode):
+    # the service delay is at most t exactly when the capacity exceeds u_m * n_m / t
+    tail = _capacity_tail(params, mode)
+    bits = params.u_m * params.n_m
+    return lambda t: tail(bits / t) if t > 0.0 else tail(math.inf)
+
+
+def _elementwise(law, x):
+    """Apply a plain-float law to a scalar, or to every element of an array
+    (keeping its shape)."""
+    if np.isscalar(x):
+        return law(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(law, map(float, x.flat)), float, x.size).reshape(x.shape)
+
+
+def capacity_cdf(params: ScenarioParams, mode: ServiceMode, z):
+    """CDF of the mode's capacity at z bits/s: the shared band B_h log2(1 + SINR),
+    the proprietary band B_m log2(1 + SNR), or their sum (combined)."""
+    tail = _capacity_tail(params, mode)
+    return _elementwise(lambda rate: 1.0 - tail(rate), z)
+
+
+def capacity_pdf_proprietary(params: ScenarioParams, tau):
+    """Density of the proprietary-band capacity at tau bits/s; integrates to one."""
+    return _elementwise(_proprietary_pdf(params), tau)
 
 
 def service_cdf(params: ScenarioParams, mode: ServiceMode, t):
     """CDF of the per-packet service delay at time t for the given mode.
 
     Equals one minus the mode's capacity CDF evaluated at the required rate
-    u_m * n_m / t; returns exactly zero as t -> 0+.
+    u_m * n_m / t. The single-band modes return exactly zero as t -> 0+; the
+    combined mode levels off at the proprietary tail mass the convolution
+    neglects (9.9998e-13 at the default scenario) instead.
     """
-    scalar = np.isscalar(t)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if np.any(np.asarray(t) < 0):
         raise ValueError("service delay argument must be nonnegative")
-    with np.errstate(divide="ignore"):
-        z = np.where(t > 0, params.u_m * params.n_m / t, math.inf)
-
-    if mode is ServiceMode.COMBINED:
-        cdf = np.array([1.0 - combined_capacity_cdf(params, zi)
-                        for zi in np.atleast_1d(z)]).reshape(z.shape)
-    else:
-        cdf = _capacity_tail(params, mode, z)
-    return _as_given(np.asarray(cdf), scalar)
+    return _elementwise(_service_cdf(params, mode), t)
 
 
 @lru_cache(maxsize=256)
@@ -294,7 +282,7 @@ def truncated_service_moments(params: ScenarioParams, mode: ServiceMode) -> Trun
     The k-th truncated moment is t_out^k minus k times the integral of
     t^(k-1) F(t) over [0, t_out]. Results are cached; params are immutable.
     """
-    F = lambda t: float(service_cdf(params, mode, t))
+    F = _service_cdf(params, mode)
     i1, i2, i3 = cdf_moment_integrals(F, params.t_out)
     t_out = params.t_out
     fail = min(1.0, max(0.0, 1.0 - F(t_out)))

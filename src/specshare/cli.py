@@ -70,8 +70,9 @@ class SweepSpec:
             raise ValueError("sweep start must be below stop")
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("trials", "packets", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")

@@ -1,4 +1,4 @@
-"""Overflow-safe numerical integration primitives.
+"""Numerical integration primitives.
 
 Wraps adaptive Gauss-Kronrod quadrature (QUADPACK via scipy) behind a small
 contract used by every closed-form delay expression: plain integrals,
@@ -11,11 +11,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
 from scipy import integrate as _scipy_integrate
 
-# exp(-x) underflows to zero (even subnormals) past this point
-_EXP_NEG_CUTOFF = 746.0
 # adaptive quadrature tolerances and subdivision limit, shared by every integral
 REL_TOL = 1e-8
 ABS_TOL = 1e-12
@@ -24,18 +21,6 @@ MAX_SUBDIVISIONS = 2000
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to converge within the allowed subdivisions."""
-
-
-def safe_exp_neg(x):
-    """exp(-x) for x >= 0 (including +inf), clamped to exactly 0 on underflow.
-
-    Accepts scalars or arrays; never returns NaN for in-contract input.
-    """
-    x = np.asarray(x, dtype=float)
-    result = np.where(x >= _EXP_NEG_CUTOFF, 0.0, np.exp(-np.minimum(x, _EXP_NEG_CUTOFF)))
-    if result.ndim == 0:
-        return float(result)
-    return result
 
 
 def integrate(f: Callable[[float], float], a: float, b: float) -> float:

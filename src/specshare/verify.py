@@ -82,7 +82,7 @@ def _combined_cdf_interpolant(params: ScenarioParams, t_min: float):
     """
     z_hi = params.u_m * params.n_m / t_min
     grid = np.concatenate([[0.0], np.geomspace(z_hi * 1e-6, z_hi, 3000)])
-    values = np.array([analytic.combined_capacity_cdf(params, z) for z in grid])
+    values = analytic.capacity_cdf(params, ServiceMode.COMBINED, grid)
     interp = PchipInterpolator(grid, values)
 
     def cdf(t):
@@ -118,13 +118,13 @@ def check_service_cdf_match(params: ScenarioParams, n: int = 100_000,
 def check_capacity_distributions(params: ScenarioParams) -> CheckResult:
     """Proprietary capacity PDF integrates to one; shared capacity CDF is monotone."""
     start = time.monotonic()
-    pdf = lambda u: float(analytic.capacity_pdf_proprietary(params, u))
+    pdf = lambda u: analytic.capacity_pdf_proprietary(params, u)
     # split at the analytic tail cutoff: QAGI alone misses the narrow mass region
     split = analytic.proprietary_tail_cutoff(params, tail=1e-16)
     total = integrate(pdf, 0.0, split) + integrate(pdf, split, math.inf)
     norm_ok = abs(total - 1.0) <= 1e-8
     taus = np.linspace(0.0, 5e8, 1000)
-    f1 = analytic.capacity_cdf_shared(params, taus)
+    f1 = analytic.capacity_cdf(params, ServiceMode.SHARED_ONLY, taus)
     monotone = bool(np.all(np.diff(f1) >= -1e-15))
     bounded = bool(np.all((f1 >= 0.0) & (f1 <= 1.0)))
     elapsed = time.monotonic() - start

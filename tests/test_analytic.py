@@ -1,8 +1,10 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specshare import analytic, geometry, simulate
 from specshare.analytic import (
@@ -10,10 +12,8 @@ from specshare.analytic import (
     TruncatedMoments,
     UnstableQueueError,
     apply_power_budget,
-    capacity_cdf_proprietary,
-    capacity_cdf_shared,
+    capacity_cdf,
     capacity_pdf_proprietary,
-    combined_capacity_cdf,
     delay_report,
     max_mbs_power,
     mg1_waiting,
@@ -25,7 +25,7 @@ from specshare.analytic import (
     truncated_service_moments,
 )
 from specshare.model import ScenarioParams, ServiceMode, validate, with_updates
-from specshare.quadrature import integrate
+from specshare.quadrature import QuadratureError, integrate
 
 PARAMS = validate(ScenarioParams())
 
@@ -138,25 +138,30 @@ class TestPowerBudget:
 
 class TestCapacityDistributions:
     def test_shared_cdf_limits(self):
-        assert capacity_cdf_shared(PARAMS, 0.0) == 0.0
-        assert capacity_cdf_shared(PARAMS, 1e12) == 1.0
+        assert capacity_cdf(PARAMS, ServiceMode.SHARED_ONLY, 0.0) == 0.0
+        assert capacity_cdf(PARAMS, ServiceMode.SHARED_ONLY, 1e12) == 1.0
+
+    def test_cdf_is_zero_at_negative_rates(self):
+        for mode in ServiceMode:
+            assert capacity_cdf(PARAMS, mode, -1e6) == 0.0
 
     def test_shared_cdf_against_sampled_capacities(self):
         caps = geometry.sample_total_capacities(PARAMS, ServiceMode.SHARED_ONLY,
                                                 100_000, np.random.default_rng(41))
         emp = simulate.EmpiricalDistribution(caps)
-        assert emp.ks_distance(lambda t: capacity_cdf_shared(PARAMS, t)) <= 0.01
+        assert emp.ks_distance(
+            lambda z: capacity_cdf(PARAMS, ServiceMode.SHARED_ONLY, z)) <= 0.01
 
     def test_proprietary_pdf_normalizes(self):
-        pdf = lambda u: float(capacity_pdf_proprietary(PARAMS, u))
+        pdf = lambda u: capacity_pdf_proprietary(PARAMS, u)
         split = proprietary_tail_cutoff(PARAMS, tail=1e-16)
         total = integrate(pdf, 0.0, split) + integrate(pdf, split, math.inf)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_proprietary_pdf_matches_cdf_derivative_at_origin(self):
         h = 1.0  # bits/s, tiny against the 1e8 Hz band
-        finite_difference = (capacity_cdf_proprietary(PARAMS, h)
-                             - capacity_cdf_proprietary(PARAMS, 0.0)) / h
+        cdf = lambda z: capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, z)
+        finite_difference = (cdf(h) - cdf(0.0)) / h
         assert capacity_pdf_proprietary(PARAMS, 0.0) == pytest.approx(
             finite_difference, rel=1e-6)
 
@@ -167,13 +172,13 @@ class TestCapacityDistributions:
         edges = np.linspace(0.0, hi, 51)
         observed, _ = np.histogram(np.minimum(caps, hi * 0.999999), bins=edges)
         observed = observed / caps.size
-        expected = np.diff(capacity_cdf_proprietary(PARAMS, edges))
+        expected = np.diff(capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, edges))
         assert 0.5 * np.abs(observed - expected).sum() <= 0.02
 
     def test_tail_cutoff_captures_requested_mass(self):
         cutoff = proprietary_tail_cutoff(PARAMS, tail=1e-12)
-        assert 1.0 - capacity_cdf_proprietary(PARAMS, cutoff) == pytest.approx(
-            1e-12, rel=1e-6)
+        tail = 1.0 - capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, cutoff)
+        assert tail == pytest.approx(1e-12, rel=1e-6)
 
 
 class TestServiceCdf:
@@ -202,10 +207,24 @@ class TestServiceCdf:
             service_cdf(PARAMS, ServiceMode.SHARED_ONLY, -1.0)
 
     def test_combined_cdf_complements_capacity_cdf(self):
-        t = 1e-3
-        z = PARAMS.u_m * PARAMS.n_m / t
-        assert service_cdf(PARAMS, ServiceMode.COMBINED, t) == pytest.approx(
-            1.0 - combined_capacity_cdf(PARAMS, z), abs=1e-12)
+        for mode in ServiceMode:
+            for t in (1e-4, 1e-3, 5e-3):
+                z = PARAMS.u_m * PARAMS.n_m / t
+                assert service_cdf(PARAMS, mode, t) == pytest.approx(
+                    1.0 - capacity_cdf(PARAMS, mode, z), abs=1e-12)
+
+    def test_array_input_keeps_shape_and_matches_scalar_calls(self):
+        ts = np.array([[0.0, 1e-4, 1e-3], [2e-3, 5e-3, 1e-2]])
+        zs = np.array([[0.0, 1e7], [1e8, 1e9]])
+        for mode in ServiceMode:
+            cdf = service_cdf(PARAMS, mode, ts)
+            assert cdf.shape == ts.shape
+            assert cdf.tolist() == [[service_cdf(PARAMS, mode, float(t)) for t in row]
+                                    for row in ts]
+            cap = capacity_cdf(PARAMS, mode, zs)
+            assert cap.shape == zs.shape
+            assert cap.tolist() == [[capacity_cdf(PARAMS, mode, float(z)) for z in row]
+                                    for row in zs]
 
 
 class TestTruncatedMoments:
@@ -322,3 +341,38 @@ class TestDelayReport:
         assert len(unclamped) >= 2 and len(clamped) >= 2
         assert all(b < a for a, b in zip(unclamped, unclamped[1:]))
         assert max(clamped) - min(clamped) <= 1e-6 * clamped[0]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# the scenario box of the robustness fuzz: every link-budget knob over decades
+_FUZZ_SCENARIOS = st.builds(
+    lambda **changes: with_updates(PARAMS, **changes),
+    alpha=_log_uniform(2.05, 6.0), t_out=_log_uniform(1e-3, 0.1),
+    lambda_h=_log_uniform(1e-6, 1e-3), b_h=_log_uniform(1e6, 1e8),
+    b_m=_log_uniform(1e6, 1e9), n_m=_log_uniform(1.0, 1000.0).map(round),
+    noise_psd=_log_uniform(1e-21, 1e-8), y0=_log_uniform(1.0, 100.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FUZZ_SCENARIOS, st.sampled_from([ServiceMode.SHARED_ONLY,
+                                         ServiceMode.PROPRIETARY_ONLY]))
+def test_single_band_closed_forms_are_finite_or_typed_failures(params, mode):
+    # the combined mode is left out: its moments cost about 0.1 s each
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = np.geomspace(params.t_out * 1e-4, params.t_out, 50)
+        cdf = service_cdf(params, mode, ts)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0)
+        try:
+            report = delay_report(params, mode)
+        except (UnstableQueueError, QuadratureError):
+            return
+    assert all(math.isfinite(value) for value in vars(report).values())
+    assert 0.0 <= report.mean_service <= params.t_out
+    assert 0.0 <= report.mean_waiting and report.jitter >= 0.0
+    assert report.mean_delay == report.mean_service + report.mean_waiting
+    assert 0.0 <= report.load < 1.0 and 0.0 <= report.fail_prob <= 1.0

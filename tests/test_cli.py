@@ -51,6 +51,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="seed"):
             SweepSpec("lambda_h", 1e-5, 1e-4, 2, seed=-1)
 
+    @pytest.mark.parametrize("field", ["trials", "packets"])
+    def test_rejects_negative_monte_carlo_size(self, field):
+        with pytest.raises(ValueError, match=field):
+            SweepSpec("lambda_h", 1e-5, 1e-4, 2, **{field: -5})
+
     def test_grid_is_linear(self):
         spec = SweepSpec("lambda_md", 10.0, 30.0, 3)
         assert spec.grid() == [10.0, 20.0, 30.0]
@@ -348,6 +353,16 @@ class TestSeed:
             "--out", str(tmp_path / "x.csv")])
         assert status == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_negative_monte_carlo_sizes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        status = cli.main([
+            "sweep", "--var", "lambda_h", "--from", "1e-5", "--to", "1e-4",
+            "--steps", "2", "--metric", "outage_sharing",
+            "--trials", "-5", "--packets", "-5", "--out", str(out)])
+        assert status == 2
+        assert "trials must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_config_seed_exits_2(self, tmp_path, capsys):
         config = tmp_path / "seed.cfg"

@@ -12,7 +12,6 @@ from specshare.quadrature import (
     cdf_moment_integrals,
     convolve_cdf_pdf,
     integrate,
-    safe_exp_neg,
 )
 
 PARAMS = validate(ScenarioParams())
@@ -103,11 +102,8 @@ def test_convolve_with_saturated_cdf_returns_pdf_mass():
 
 
 def test_convolve_monotone_and_bounded():
-    f1 = analytic._scalar_shared_cdf(PARAMS)
-    f2 = analytic._scalar_proprietary_pdf(PARAMS)
-    cutoff = analytic.proprietary_tail_cutoff(PARAMS)
     zs = np.linspace(1e6, 1e9, 60)
-    values = [convolve_cdf_pdf(f1, f2, z, u_max=cutoff, u_tail=1e-12) for z in zs]
+    values = analytic.capacity_cdf(PARAMS, ServiceMode.COMBINED, zs).tolist()
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
@@ -120,27 +116,6 @@ def test_convolve_matches_capacity_sum_samples():
                                                   100_000, rng)
     emp = simulate.EmpiricalDistribution(capacities)
     zs = np.quantile(capacities, np.linspace(0.001, 0.999, 400))
-    worst = max(abs(analytic.combined_capacity_cdf(PARAMS, float(z)) - emp.cdf(float(z)))
-                for z in zs)
+    cdf = lambda z: analytic.capacity_cdf(PARAMS, ServiceMode.COMBINED, z)
+    worst = max(abs(cdf(float(z)) - emp.cdf(float(z))) for z in zs)
     assert worst <= 0.01
-
-
-def test_safe_exp_neg_values():
-    assert safe_exp_neg(0.0) == 1.0
-    assert safe_exp_neg(math.inf) == 0.0
-    assert safe_exp_neg(1000.0) == 0.0
-    assert safe_exp_neg(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-
-def test_safe_exp_neg_array():
-    out = safe_exp_neg(np.array([0.0, 5.0, 800.0, np.inf]))
-    assert out[0] == 1.0 and out[-1] == 0.0 and out[2] == 0.0
-    assert not np.any(np.isnan(out))
-
-
-@given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6))
-def test_safe_exp_neg_monotone_in_unit_interval(x, y):
-    fx, fy = safe_exp_neg(x), safe_exp_neg(y)
-    assert 0.0 <= fx <= 1.0
-    if x <= y:
-        assert fx >= fy
