@@ -8,6 +8,7 @@ convolution.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -47,10 +48,12 @@ def cdf_moment_integrals(F: Callable[[float], float],
     """Integrals of F, t*F, and t^2*F over [0, t_out].
 
     These are exactly the terms subtracted from t_out^k in the truncated
-    service-delay moments.
+    service-delay moments. The three rules visit mostly the same nodes, so F
+    is evaluated once per distinct node; F must be deterministic.
     """
     if t_out <= 0:
         raise ValueError(f"t_out must be positive, got {t_out}")
+    F = functools.cache(F)  # lives for this call only
     i1 = integrate(F, 0.0, t_out)
     i2 = integrate(lambda t: t * F(t), 0.0, t_out)
     i3 = integrate(lambda t: t * t * F(t), 0.0, t_out)

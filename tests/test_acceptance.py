@@ -4,9 +4,11 @@ Each test prints one PASS/FAIL line (visible with `pytest -s` or on failure)
 and asserts the criterion. Runs the same checks as `specshare verify`.
 """
 
+import os
+
 import pytest
 
-from specshare import verify
+from specshare import cli, verify
 from specshare.model import ScenarioParams, validate
 
 
@@ -83,3 +85,19 @@ def test_criterion_7f_delay_vs_device_density(trend_results):
 
 def test_criterion_8_sweep_determinism(params):
     _report(verify.check_determinism(params))
+
+
+def test_criterion_8_compares_4_workers_with_1_whatever_the_environment(params, monkeypatch):
+    # a preset single-worker environment must not turn the check into 1 vs 1
+    monkeypatch.setenv("SPECSHARE_THREADS", "1")
+    workers = []
+    run_sweep = cli.run_sweep
+
+    def spy(spec, base):
+        workers.append(cli._worker_count())
+        return run_sweep(spec, base)
+
+    monkeypatch.setattr(cli, "run_sweep", spy)
+    _report(verify.check_determinism(params))
+    assert workers == [4, 1]
+    assert os.environ["SPECSHARE_THREADS"] == "1"

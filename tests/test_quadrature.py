@@ -79,6 +79,24 @@ def test_cdf_moment_integrals_ordering():
     assert i3 <= t_out * i2 * (1 + 1e-12)
 
 
+def test_cdf_moment_integrals_evaluates_each_node_once():
+    # the three rules share most nodes; each distinct t costs one combined-mode
+    # convolution, and sharing must not change a bit of the three integrals
+    F = analytic._service_cdf(PARAMS, ServiceMode.COMBINED)
+    nodes = []
+
+    def counted(t):
+        nodes.append(t)
+        return F(t)
+
+    t_out = PARAMS.t_out
+    shared = cdf_moment_integrals(counted, t_out)
+    assert len(nodes) == len(set(nodes))
+    assert shared == (integrate(F, 0.0, t_out),
+                      integrate(lambda t: t * F(t), 0.0, t_out),
+                      integrate(lambda t: t * t * F(t), 0.0, t_out))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_integrate_linearity(a, b):
