@@ -2,11 +2,13 @@
 
     python scripts/bench_file.py --tag pr6 --parent ../specshare-parent --seeds 1 2
 
-Every workload in BENCHMARK.json runs once per seed and side with --trace 0;
-which side goes first alternates from seed to seed, so a drift in the host's
-speed falls on both sides alike. One --trace 1 link_sweep run per side gives
+Every workload in BENCHMARK.json runs once per seed and side with --trace 0
+for the benchmark's run_seconds; which side goes first alternates from seed to
+seed, so a drift in the host's speed falls on both sides alike. One --trace 1 link_sweep run per side gives
 the per-layer numbers. The file holds every result line, the median of each
 end-to-end metric per workload and side, both commits and the CPU count.
+A run that is not correct or has failed operations stops the script with exit
+status 1 and writes no file.
 """
 
 from __future__ import annotations
@@ -29,13 +31,18 @@ def commit(tree: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result line (the last line of stdout) of one benchmark run in `tree`."""
+def run(side: str, tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The result line (the last line of stdout) of one benchmark run in `tree`;
+    exits with status 1 unless the run is correct with no failed operation."""
     out = subprocess.run(
         [sys.executable, "specbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    result = json.loads(out.splitlines()[-1])
+    if result["correct"] is not True or result["failed"] > 0:
+        sys.exit(f"{workload} seed {seed} trace {trace} on the {side} side: "
+                 f"correct={result['correct']}, failed={result['failed']}")
+    return result
 
 
 def main(argv=None) -> int:
@@ -44,17 +51,17 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     commits = {side: commit(tree) for side, tree in sides.items()}  # before any edit
 
     runs, medians = [], {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         for k, seed in enumerate(args.seeds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                result = run(sides[side], workload, seed, args.seconds, 0)
+                result = run(side, sides[side], workload, seed, seconds, 0)
                 runs.append({"workload": workload, "seed": seed, "side": side, "result": result})
                 print(json.dumps(runs[-1]), flush=True)
         medians[workload] = {side: {m["name"]: statistics.median(
@@ -62,11 +69,11 @@ def main(argv=None) -> int:
             if r["workload"] == workload and r["side"] == side)
             for m in benchmark["end_to_end"]} for side in sides}
     per_layer = {side: {name: value["value"] for name, value in run(
-        tree, "link_sweep", args.seeds[0], args.seconds, 1)["metrics"].items()}
+        side, tree, "link_sweep", args.seeds[0], seconds, 1)["metrics"].items()}
         for side, tree in sides.items()}
 
     record = {"tag": args.tag, "nproc": len(os.sched_getaffinity(0)),
-              "seconds": args.seconds, "seeds": args.seeds,
+              "seconds": seconds, "seeds": args.seeds,
               "commits": commits,
               "medians": medians, "per_layer_link_sweep": per_layer, "runs": runs}
     path = ROOT / f"BENCH_{args.tag}.json"

@@ -83,11 +83,7 @@ def test_criterion_7f_delay_vs_device_density(trend_results):
     _report(trend_results["7f"])
 
 
-def test_criterion_8_sweep_determinism(params):
-    _report(verify.check_determinism(params))
-
-
-def test_criterion_8_compares_4_workers_with_1_whatever_the_environment(params, monkeypatch):
+def test_criterion_8_sweep_determinism(params, monkeypatch):
     # a preset single-worker environment must not turn the check into 1 vs 1
     monkeypatch.setenv("SPECSHARE_THREADS", "1")
     workers = []
