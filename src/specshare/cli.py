@@ -25,20 +25,20 @@ import numpy as np
 from . import analytic, simulate
 from .analytic import InfeasiblePowerError, UnstableQueueError
 from .model import (
+    CONFIG_KEYS,
     ScenarioParams,
     ServiceMode,
     ValidationError,
-    dbm_to_watts,
     parse_config,
     validate,
     with_updates,
 )
 from .quadrature import QuadratureError
 
-SWEEP_VARIABLES = ("P_h", "lambda_h", "P_m_shared", "epsilon", "lambda_md", "lambda_mu")
-_POWER_FIELDS = {"P_h": "p_h", "P_m_shared": "p_m_shared"}
-_PLAIN_FIELDS = {"lambda_h": "lambda_h", "epsilon": "epsilon",
-                 "lambda_md": "lambda_md", "lambda_mu": "lambda_mu"}
+# sweep variable -> config key, whose unit the grid is in
+SWEEP_VARIABLES = {"P_h": "P_h_dbm", "lambda_h": "lambda_h_per_m2",
+                   "P_m_shared": "P_m_shared_dbm", "epsilon": "epsilon",
+                   "lambda_md": "lambda_md_per_s", "lambda_mu": "lambda_mu_per_m2"}
 OUTAGE_METRICS = ("outage_no_sharing", "outage_sharing")
 DELAY_METRICS = ("mean_delay", "jitter")
 METRICS = OUTAGE_METRICS + DELAY_METRICS
@@ -109,9 +109,8 @@ class SweepTable:
 
 
 def _point_params(base: ScenarioParams, spec: SweepSpec, value: float) -> ScenarioParams:
-    if spec.variable in _POWER_FIELDS:
-        return with_updates(base, **{_POWER_FIELDS[spec.variable]: dbm_to_watts(value)})
-    return with_updates(base, **{_PLAIN_FIELDS[spec.variable]: value})
+    field, convert, _ = CONFIG_KEYS[SWEEP_VARIABLES[spec.variable]]
+    return with_updates(base, **{field: convert(value)})
 
 
 def _resolve(params: ScenarioParams) -> tuple[ScenarioParams, str]:
@@ -149,7 +148,7 @@ def _delay(params: ScenarioParams, mode: ServiceMode,
 def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
                     value: float) -> list[SweepRow]:
     """One row per (metric, mode) cell: its value, or nan and an error message."""
-    # one stream per point, shared by the paired outage estimates and by
+    # one stream per point, shared by the outage Monte Carlo run and by
     # every mode's queue run
     rng = lambda: np.random.default_rng([spec.seed, index])
     try:
@@ -157,8 +156,10 @@ def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
         failed = ""
     except (ValidationError, ValueError) as exc:
         failed = str(exc)
+    # at most one outage Monte Carlo run, shared by both outage metrics, and
     # one delay evaluation (and at most one queue run) per mode, shared by
     # every delay metric of this grid point
+    outage_mc: dict[str, simulate.ProbEstimate] = {}
     per_mode: dict[ServiceMode, tuple] = {}
 
     def cell(metric: str, mode: ServiceMode | None):
@@ -171,8 +172,10 @@ def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
                 return exact
             if spec.trials <= 0:
                 return exact, None, None, 0
-            est = simulate.estimate_outage_mc(params, metric == "outage_sharing",
-                                              spec.trials, rng())
+            if not outage_mc:
+                outage_mc.update(zip(OUTAGE_METRICS, simulate.estimate_outage_mc(
+                    params, spec.trials, rng())))
+            est = outage_mc[metric]
             return exact, est.mean, est.std_error, est.n_trials
         if mode not in per_mode:
             report, stats = _delay(params, mode, infeasible), None
@@ -210,15 +213,10 @@ def _worker_count() -> int:
 def run_sweep(spec: SweepSpec, base: ScenarioParams) -> SweepTable:
     """Evaluate every grid point; failures become error rows, not aborts."""
     validate(base)
-    values = spec.grid()
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(
-                lambda iv: _evaluate_point(spec, base, iv[0], iv[1]),
-                enumerate(values)))
-    else:
-        per_point = [_evaluate_point(spec, base, i, v) for i, v in enumerate(values)]
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        per_point = list(pool.map(
+            lambda iv: _evaluate_point(spec, base, iv[0], iv[1]),
+            enumerate(spec.grid())))
     rows = [row for point_rows in per_point for row in point_rows]
     return SweepTable(spec, base, tuple(rows))
 

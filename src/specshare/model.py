@@ -7,7 +7,7 @@ the config file accepts dBm for powers and bytes for the packet size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -35,7 +35,10 @@ def dbm_to_watts(p_dbm: float) -> float:
     """Convert a power level from dBm to watts."""
     if not math.isfinite(p_dbm):
         raise ValueError(f"power in dBm must be finite, got {p_dbm}")
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power of {p_dbm} dBm overflows in watts") from None
 
 
 def watts_to_dbm(p_w: float) -> float:
@@ -47,7 +50,11 @@ def watts_to_dbm(p_w: float) -> float:
 
 def device_count(lambda_mu: float, workshop_area: float) -> int:
     """Map a device density to the number of served devices (at least one)."""
-    return max(1, int(round(float(lambda_mu) * float(workshop_area))))
+    devices = float(lambda_mu) * float(workshop_area)
+    if not math.isfinite(devices):
+        raise ValueError(f"device count lambda_mu * workshop_area must be finite, "
+                         f"got {devices}")
+    return max(1, int(round(devices)))
 
 
 @dataclass(frozen=True)
@@ -143,31 +150,33 @@ def with_updates(params: ScenarioParams, **changes) -> ScenarioParams:
     return validate(replace(params, **changes))
 
 
-# Config key -> (field name, converter from the parsed float).
-_DBM = dbm_to_watts
-_CONFIG_KEYS: dict[str, tuple[str, object]] = {
-    "P_h_dbm": ("p_h", _DBM),
-    "P_m_dbm": ("p_m", _DBM),
-    "P_m_shared_dbm": ("p_m_shared", _DBM),
-    "P_max_dbm": ("p_max", _DBM),
-    "x0_m": ("x0", float),
-    "y0_m": ("y0", float),
-    "B_h_hz": ("b_h", float),
-    "B_m_hz": ("b_m", float),
-    "N0_w_per_hz": ("noise_psd", float),
-    "alpha": ("alpha", float),
-    "U_m_bytes": ("u_m", lambda v: 8.0 * v),
-    "t_out_s": ("t_out", float),
-    "lambda_h_per_m2": ("lambda_h", float),
-    "lambda_md_per_s": ("lambda_md", float),
-    "lambda_mu_per_m2": ("lambda_mu", float),
-    "N_h": ("n_h", lambda v: int(round(v))),
-    "N_m": ("n_m", lambda v: int(round(v))),
-    "theta_h": ("theta_h", float),
-    "epsilon": ("epsilon", float),
-    "workshop_area_m2": ("workshop_area", float),
-    "mc_radius_m": ("mc_radius", float),
-    "seed": ("seed", lambda v: int(round(v))),
+# Config key -> (field name, converter from the parsed float, its inverse).
+_DBM = (dbm_to_watts, watts_to_dbm)
+_PLAIN = (float, float)
+_COUNT = (lambda v: int(round(v)), int)
+CONFIG_KEYS: dict[str, tuple] = {
+    "P_h_dbm": ("p_h", *_DBM),
+    "P_m_dbm": ("p_m", *_DBM),
+    "P_m_shared_dbm": ("p_m_shared", *_DBM),
+    "P_max_dbm": ("p_max", *_DBM),
+    "x0_m": ("x0", *_PLAIN),
+    "y0_m": ("y0", *_PLAIN),
+    "B_h_hz": ("b_h", *_PLAIN),
+    "B_m_hz": ("b_m", *_PLAIN),
+    "N0_w_per_hz": ("noise_psd", *_PLAIN),
+    "alpha": ("alpha", *_PLAIN),
+    "U_m_bytes": ("u_m", lambda v: 8.0 * v, lambda v: v / 8.0),
+    "t_out_s": ("t_out", *_PLAIN),
+    "lambda_h_per_m2": ("lambda_h", *_PLAIN),
+    "lambda_md_per_s": ("lambda_md", *_PLAIN),
+    "lambda_mu_per_m2": ("lambda_mu", *_PLAIN),
+    "N_h": ("n_h", *_COUNT),
+    "N_m": ("n_m", *_COUNT),
+    "theta_h": ("theta_h", *_PLAIN),
+    "epsilon": ("epsilon", *_PLAIN),
+    "workshop_area_m2": ("workshop_area", *_PLAIN),
+    "mc_radius_m": ("mc_radius", *_PLAIN),
+    "seed": ("seed", *_COUNT),
 }
 
 
@@ -179,6 +188,7 @@ def parse_config(text: str) -> ScenarioParams:
     over the lambda_mu-derived device count.
     """
     assigned: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     problems: list[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -191,7 +201,7 @@ def parse_config(text: str) -> ScenarioParams:
         key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         try:
@@ -199,39 +209,30 @@ def parse_config(text: str) -> ScenarioParams:
         except ValueError:
             problems.append(f"line {lineno}: malformed number {value_text!r} for key {key!r}")
             continue
-        field_name, convert = _CONFIG_KEYS[key]
+        field_name, convert, _ = CONFIG_KEYS[key]
         try:
             assigned[field_name] = convert(number)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             problems.append(f"line {lineno}: {exc}")
+        line_of[field_name] = lineno
     if problems:
         raise ConfigError("; ".join(problems))
 
     if "n_m" not in assigned and "lambda_mu" in assigned:
         area = assigned.get("workshop_area", ScenarioParams.workshop_area)
-        assigned["n_m"] = device_count(assigned["lambda_mu"], area)
+        try:
+            assigned["n_m"] = device_count(assigned["lambda_mu"], area)
+        except ValueError as exc:
+            raise ConfigError(f"line {line_of['lambda_mu']}: {exc}") from None
 
     return validate(ScenarioParams(**assigned))
 
 
 def emit_config(params: ScenarioParams) -> str:
     """Render params as config text; parse_config inverts it bit-exactly."""
-    inverse = {
-        "p_h": ("P_h_dbm", watts_to_dbm),
-        "p_m": ("P_m_dbm", watts_to_dbm),
-        "p_m_shared": ("P_m_shared_dbm", watts_to_dbm),
-        "p_max": ("P_max_dbm", watts_to_dbm),
-        "u_m": ("U_m_bytes", lambda v: v / 8.0),
-    }
-    key_by_field = {field: key for key, (field, _) in _CONFIG_KEYS.items()}
     lines = []
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if field.name == "epsilon" and value is None:
-            continue
-        if field.name in inverse:
-            key, convert = inverse[field.name]
-            lines.append(f"{key} = {convert(value)!r}")
-        else:
-            lines.append(f"{key_by_field[field.name]} = {value!r}")
+    for key, (field_name, _, inverse) in CONFIG_KEYS.items():
+        value = getattr(params, field_name)
+        if value is not None:
+            lines.append(f"{key} = {inverse(value)!r}")
     return "\n".join(lines) + "\n"

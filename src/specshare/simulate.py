@@ -50,13 +50,13 @@ class QueueStats:
     se_sojourn_variance: float  # s^2, standard error of sojourn_variance
 
 
-def estimate_outage_mc(params: ScenarioParams, sharing: bool, n_trials: int,
-                       rng: np.random.Generator) -> ProbEstimate:
-    """Estimate licensed-user outage probability over fresh interferer fields.
+def estimate_outage_mc(params: ScenarioParams, n_trials: int,
+                       rng: np.random.Generator) -> tuple[ProbEstimate, ProbEstimate]:
+    """Estimate licensed-user outage without and with sharing, in that order.
 
-    Each trial draws the PPP field, the serving-link fading, and the cross-link
-    fading; the cross draw happens whether or not sharing is enabled so that
-    two runs from identically seeded generators are coupled trial by trial.
+    Each trial draws the PPP field, the serving-link fading and the cross-link
+    fading once; both estimates are taken from those same trials, so the
+    sharing estimate never falls below the no-sharing one.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -66,14 +66,15 @@ def estimate_outage_mc(params: ScenarioParams, sharing: bool, n_trials: int,
     h0 = rng.exponential(size=n_trials)
     g0 = rng.exponential(size=n_trials)
 
-    denominator = interference + p.noise_psd * p.b_h / p.n_h
-    if sharing:
-        denominator = denominator + p.p_m_shared * p.y0 ** (-p.alpha) * g0
     signal = p.p_h * p.x0 ** (-p.alpha) * h0
-    outages = int(np.count_nonzero(signal < p.theta_h * denominator))
-
-    mean = outages / n_trials
-    return ProbEstimate(mean, math.sqrt(mean * (1.0 - mean) / n_trials), n_trials)
+    no_sharing = interference + p.noise_psd * p.b_h / p.n_h
+    sharing = no_sharing + p.p_m_shared * p.y0 ** (-p.alpha) * g0
+    estimates = []
+    for denominator in (no_sharing, sharing):
+        mean = int(np.count_nonzero(signal < p.theta_h * denominator)) / n_trials
+        estimates.append(ProbEstimate(mean, math.sqrt(mean * (1.0 - mean) / n_trials),
+                                      n_trials))
+    return tuple(estimates)
 
 
 class EmpiricalDistribution:

@@ -64,11 +64,11 @@ class TestOutage:
             assert outage_with_sharing(p) >= outage_no_sharing(p)
 
     def test_monte_carlo_agreement(self):
-        est = simulate.estimate_outage_mc(PARAMS, False, 200_000,
-                                          np.random.default_rng(31))
+        est = simulate.estimate_outage_mc(PARAMS, 200_000,
+                                          np.random.default_rng(31))[0]
         assert abs(est.mean - outage_no_sharing(PARAMS)) <= 3 * est.std_error
-        est = simulate.estimate_outage_mc(PARAMS, True, 200_000,
-                                          np.random.default_rng(32))
+        est = simulate.estimate_outage_mc(PARAMS, 200_000,
+                                          np.random.default_rng(32))[1]
         assert abs(est.mean - outage_with_sharing(PARAMS)) <= 3 * est.std_error
 
     def test_noise_free_outage_ignores_transmit_power(self):

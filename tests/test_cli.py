@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from specshare import analytic, cli
+from specshare import analytic, cli, geometry
 from specshare.cli import (
     CSV_HEADER,
     SweepRow,
@@ -135,6 +135,21 @@ class TestRunSweep:
                            table.series("outage_sharing")):
             assert yes.sim_mean >= no.sim_mean
 
+    def test_one_outage_field_per_point(self, monkeypatch):
+        calls = []
+        sample = geometry.sample_interference_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "sample_interference_batch", counted)
+        spec = SweepSpec("lambda_h", 1e-5, 1e-4, 2, metrics=cli.OUTAGE_METRICS,
+                         trials=1000, seed=3)
+        table = run_sweep(spec, PARAMS)
+        assert not table.errors
+        assert len(calls) == 2
+
     def test_simulated_columns_carry_confidence_intervals(self):
         spec = SweepSpec("lambda_h", 1e-5, 1e-4, 2, metrics=("outage_sharing",),
                          trials=20_000, seed=5)
@@ -246,6 +261,27 @@ class TestMain:
         config.write_text("nonsense = 1\n")
         assert cli.main(["eval", "--config", str(config)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["P_h_dbm = 4000", "N_m = inf", "N_h = 1e400",
+                                      "seed = inf", "lambda_mu_per_m2 = 1e305"])
+    def test_overflowing_config_value_exits_2_with_line_number(self, tmp_path, capsys,
+                                                               line):
+        config = tmp_path / "overflow.cfg"
+        config.write_text(f"alpha = 4\n{line}\n")
+        assert cli.main(["eval", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--var", "P_h", "--from", "20", "--to", "4000", "--steps", "2"],
+        ["--var", "lambda_mu", "--from", "0.01", "--to", "1e308", "--steps", "2",
+         "--metric", "mean_delay", "--mode", "proprietary"]])
+    def test_overflowing_sweep_point_becomes_error_rows(self, tmp_path, capsys, argv):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", *argv, "--out", str(out)]) == 1
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        failed = [math.isnan(float(row[4])) for row in rows]
+        assert failed == [False] * (len(rows) // 2) + [True] * (len(rows) // 2)
+        assert capsys.readouterr().err.count("error at ") == len(rows) // 2
 
     def test_quadrature_failure_becomes_error_rows(self, tmp_path, capsys):
         config = tmp_path / "step.cfg"

@@ -20,31 +20,30 @@ PARAMS = validate(ScenarioParams())
 class TestOutageEstimator:
     def test_zero_threshold_never_fails(self):
         p = with_updates(PARAMS, theta_h=0.0)
-        est = estimate_outage_mc(p, False, 5000, np.random.default_rng(0))
+        est = estimate_outage_mc(p, 5000, np.random.default_rng(0))[0]
         assert est.mean == 0.0 and est.std_error == 0.0
 
     def test_std_error_definition(self):
-        est = estimate_outage_mc(PARAMS, False, 50_000, np.random.default_rng(1))
+        est = estimate_outage_mc(PARAMS, 50_000, np.random.default_rng(1))[0]
         assert est.std_error == pytest.approx(
             math.sqrt(est.mean * (1 - est.mean) / est.n_trials), rel=1e-12)
 
     def test_matches_closed_form(self):
-        est = estimate_outage_mc(PARAMS, False, 100_000, np.random.default_rng(2))
+        est = estimate_outage_mc(PARAMS, 100_000, np.random.default_rng(2))[0]
         assert abs(est.mean - analytic.outage_no_sharing(PARAMS)) <= 3 * est.std_error
 
     def test_sharing_dominates_on_paired_streams(self):
-        base = estimate_outage_mc(PARAMS, False, 50_000, np.random.default_rng(3))
-        shared = estimate_outage_mc(PARAMS, True, 50_000, np.random.default_rng(3))
+        base, shared = estimate_outage_mc(PARAMS, 50_000, np.random.default_rng(3))
         assert shared.mean >= base.mean
 
     def test_deterministic_under_seed(self):
-        a = estimate_outage_mc(PARAMS, True, 20_000, np.random.default_rng(4))
-        b = estimate_outage_mc(PARAMS, True, 20_000, np.random.default_rng(4))
+        a = estimate_outage_mc(PARAMS, 20_000, np.random.default_rng(4))
+        b = estimate_outage_mc(PARAMS, 20_000, np.random.default_rng(4))
         assert a == b
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
-            estimate_outage_mc(PARAMS, False, 0, np.random.default_rng(5))
+            estimate_outage_mc(PARAMS, 0, np.random.default_rng(5))
 
 
 class TestEmpiricalDistribution:
