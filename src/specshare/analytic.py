@@ -9,7 +9,8 @@ Every formula here has an independent Monte Carlo counterpart in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,6 +21,14 @@ from .quadrature import cdf_moment_integrals, convolve_cdf_pdf
 
 # f2 mass ignored beyond the convolution cutoff
 _CONV_TAIL = 1e-12
+
+# the link budget: every field the service moments read; the arrival rate
+# enters the delay only through the load
+MOMENT_FIELDS = ("p_h", "p_m", "p_m_shared", "y0", "b_h", "b_m", "noise_psd", "alpha",
+                 "u_m", "t_out", "lambda_h", "n_m")
+# taken around the moment cache, picked by key, so concurrent sweep points
+# with one link budget compute its moments once
+_MOMENT_LOCKS = tuple(threading.Lock() for _ in range(8))
 
 
 class UnstableQueueError(RuntimeError):
@@ -275,22 +284,36 @@ def service_cdf(params: ScenarioParams, mode: ServiceMode, t):
     return _elementwise(_service_cdf(params, mode), t)
 
 
+def moment_key(params: ScenarioParams) -> ScenarioParams:
+    """The scenario with every field outside MOMENT_FIELDS at its default:
+    scenarios that share a link budget share one moment-cache entry."""
+    return replace(ScenarioParams(), **{f: getattr(params, f) for f in MOMENT_FIELDS})
+
+
 @lru_cache(maxsize=256)
 def truncated_service_moments(params: ScenarioParams, mode: ServiceMode) -> TruncatedMoments:
     """First three moments of min(S, t_out) plus the deadline-miss probability.
 
     The k-th truncated moment is t_out^k minus k times the integral of
-    t^(k-1) F(t) over [0, t_out]. Results are cached; params are immutable.
+    t^(k-1) F(t) over [0, t_out]. Results are cached on params, so callers
+    pass moment_key(params), as delay_report does; a lambda_md sweep then
+    computes each mode's moments once.
+
+    A combined-mode on-time probability F(t_out) at or below the proprietary
+    tail mass the convolution neglects carries no information: such a
+    scenario is saturated, with fail_prob = 1 and m_k = t_out^k.
     """
     F = _service_cdf(params, mode)
-    i1, i2, i3 = cdf_moment_integrals(F, params.t_out)
     t_out = params.t_out
-    fail = min(1.0, max(0.0, 1.0 - F(t_out)))
+    on_time = F(t_out)
+    if mode is ServiceMode.COMBINED and on_time <= _CONV_TAIL:
+        return TruncatedMoments(m1=t_out, m2=t_out ** 2, m3=t_out ** 3, fail_prob=1.0)
+    i1, i2, i3 = cdf_moment_integrals(F, t_out)
     return TruncatedMoments(
         m1=max(0.0, t_out - i1),
         m2=max(0.0, t_out ** 2 - 2.0 * i2),
         m3=max(0.0, t_out ** 3 - 3.0 * i3),
-        fail_prob=fail,
+        fail_prob=min(1.0, max(0.0, 1.0 - on_time)),
     )
 
 
@@ -320,7 +343,10 @@ def delay_report(params: ScenarioParams, mode: ServiceMode) -> DelayReport:
     Takes the effective scenario: params.p_m_shared is used as given, so a
     caller with an outage tolerance passes apply_power_budget(params).
     """
-    tm = truncated_service_moments(params, mode)
+    key = moment_key(params)
+    # the lock is outside the cached call: a waiter gets a cache hit
+    with _MOMENT_LOCKS[hash((key, mode)) % len(_MOMENT_LOCKS)]:
+        tm = truncated_service_moments(key, mode)
     wt = mg1_waiting(tm, params.lambda_md)
     service_variance = max(0.0, tm.m2 - tm.m1 ** 2)
     return DelayReport(

@@ -148,7 +148,7 @@ def check_queue_theory(params: ScenarioParams, packets: int = 1_000_000,
     details = []
     passed = True
     for k, (mode, rho, tol) in enumerate(cases):
-        moments = analytic.truncated_service_moments(params, mode)
+        moments = analytic.truncated_service_moments(analytic.moment_key(params), mode)
         scenario = with_updates(params, lambda_md=rho / moments.m1)
         report = analytic.delay_report(scenario, mode)
         stats = simulate.run_mg1_detailed(scenario, mode, packets,

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from specshare import analytic, geometry, simulate
 from specshare.analytic import (
+    MOMENT_FIELDS,
     InfeasiblePowerError,
     TruncatedMoments,
     UnstableQueueError,
@@ -257,6 +258,45 @@ class TestTruncatedMoments:
                                                 1_000_000, np.random.default_rng(43))
         sampled = float(np.minimum(delays, PARAMS.t_out).mean())
         assert sampled == pytest.approx(tm.m1, rel=0.005)
+
+    def test_saturated_combined_service_misses_every_deadline(self):
+        # 1e300 devices: the combined CDF at t_out is only the neglected
+        # proprietary tail mass, so every packet misses its deadline
+        saturated = with_updates(PARAMS, n_m=10 ** 300)
+        tm = truncated_service_moments(saturated, ServiceMode.COMBINED)
+        t = PARAMS.t_out
+        assert tm == TruncatedMoments(t, t ** 2, t ** 3, 1.0)
+        with pytest.raises(UnstableQueueError, match="load 1 >= 1"):
+            delay_report(saturated, ServiceMode.COMBINED)
+
+
+class TestMomentKey:
+    """delay_report caches the moments on moment_key(params). A field the
+    moments read but the key drops would return another scenario's moments
+    without any error; a field the key keeps but the moments ignore would
+    split the cache."""
+
+    @staticmethod
+    def _moments(params):
+        return [truncated_service_moments.__wrapped__(params, mode) for mode in ServiceMode]
+
+    @staticmethod
+    def _perturbed(name):
+        value = getattr(PARAMS, name)
+        if value is None:  # epsilon; the moments take p_m_shared as given
+            return 0.012
+        return value + 1 if isinstance(value, int) else value * 1.5
+
+    def test_key_is_complete_and_minimal(self):
+        base = self._moments(PARAMS)
+        names = [f.name for f in fields(ScenarioParams)]
+        assert set(MOMENT_FIELDS) <= set(names)
+        for name in names:
+            moved = self._moments(replace(PARAMS, **{name: self._perturbed(name)}))
+            if name in MOMENT_FIELDS:
+                assert moved != base, name
+            else:
+                assert moved == base, name
 
 
 class TestWaiting:

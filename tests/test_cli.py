@@ -29,6 +29,10 @@ N0_w_per_hz = 1.5e-20
 y0_m = 63.8
 """
 
+# 1e300 devices: every packet misses its deadline in every mode, so at the
+# default arrival rate the load is exactly one
+SATURATED_CONFIG = "lambda_mu_per_m2 = 1e296\n"
+
 # between the no-sharing outage (0.0057 at the defaults) and the sharing
 # outage at p_max (0.0156): the tolerance, not p_max, sets the shared power
 BINDING_EPSILON = 0.012
@@ -111,6 +115,20 @@ class TestRunSweep:
         combined = table.series("mean_delay", "combined")
         assert any(r.error for r in proprietary)
         assert all(not r.error for r in combined)
+
+    def test_lambda_md_sweep_computes_each_mode_once(self, tmp_path, monkeypatch):
+        # the moments depend on the link budget only, and concurrent points
+        # with one link budget wait for one evaluation instead of repeating it
+        spec = SweepSpec("lambda_md", 20.0, 200.0, 10)
+        csvs = []
+        for threads in ("4", "1"):
+            monkeypatch.setenv("SPECSHARE_THREADS", threads)
+            analytic.truncated_service_moments.cache_clear()
+            out = tmp_path / f"{threads}.csv"
+            emit_csv(run_sweep(spec, PARAMS), out)
+            assert analytic.truncated_service_moments.cache_info().misses == 3
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_point_streams_do_not_collide_across_seeds(self):
         # the proprietary queue ignores epsilon, so equal simulated values at
@@ -282,6 +300,28 @@ class TestMain:
         failed = [math.isnan(float(row[4])) for row in rows]
         assert failed == [False] * (len(rows) // 2) + [True] * (len(rows) // 2)
         assert capsys.readouterr().err.count("error at ") == len(rows) // 2
+
+    def test_eval_reports_saturated_combined_queue(self, tmp_path, capsys):
+        config = tmp_path / "saturated.cfg"
+        config.write_text(SATURATED_CONFIG)
+        assert cli.main(["eval", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        for mode in ServiceMode:
+            assert f"error[{mode.value}]: queue unstable: load 1 >= 1" in captured.err
+        assert "[combined] =" not in captured.out
+
+    def test_saturated_sweep_point_becomes_error_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        status = cli.main([
+            "sweep", "--var", "lambda_mu", "--from", "0.01", "--to", "1e296",
+            "--steps", "2", "--metric", "mean_delay", "--mode", "combined",
+            "--out", str(out)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.count("error at ") == 1
+        assert "error at lambda_mu=1e+296 [mean_delay/combined]: queue unstable" in err
+        cells = [float(row.split(",")[4]) for row in out.read_text().splitlines()[1:]]
+        assert math.isfinite(cells[0]) and math.isnan(cells[1])
 
     def test_quadrature_failure_becomes_error_rows(self, tmp_path, capsys):
         config = tmp_path / "step.cfg"
