@@ -4,9 +4,11 @@
 
 Every workload in BENCHMARK.json runs once per seed and side with --trace 0
 for the benchmark's run_seconds; which side goes first alternates from seed to
-seed, so a drift in the host's speed falls on both sides alike. One --trace 1 link_sweep run per side gives
-the per-layer numbers. The file holds every result line, the median of each
-end-to-end metric per workload and side, both commits and the CPU count.
+seed, so a drift in the host's speed falls on both sides alike. One --trace 1
+run per workload and side, with the first seed, gives the per-layer numbers.
+The file holds every result line, the median of each end-to-end metric per
+workload and side, the per-layer numbers per workload and side, both commits
+and the CPU count.
 A run that is not correct or has failed operations stops the script with exit
 status 1 and writes no file.
 """
@@ -57,7 +59,7 @@ def main(argv=None) -> int:
     seconds = benchmark["run_seconds"]
     commits = {side: commit(tree) for side, tree in sides.items()}  # before any edit
 
-    runs, medians = [], {}
+    runs, medians, per_layer = [], {}, {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         for k, seed in enumerate(args.seeds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
@@ -68,14 +70,14 @@ def main(argv=None) -> int:
             r["result"]["metrics"][m["name"]]["value"] for r in runs
             if r["workload"] == workload and r["side"] == side)
             for m in benchmark["end_to_end"]} for side in sides}
-    per_layer = {side: {name: value["value"] for name, value in run(
-        side, tree, "link_sweep", args.seeds[0], seconds, 1)["metrics"].items()}
-        for side, tree in sides.items()}
+        per_layer[workload] = {side: {name: value["value"] for name, value in run(
+            side, tree, workload, args.seeds[0], seconds, 1)["metrics"].items()}
+            for side, tree in sides.items()}
 
     record = {"tag": args.tag, "nproc": len(os.sched_getaffinity(0)),
               "seconds": seconds, "seeds": args.seeds,
               "commits": commits,
-              "medians": medians, "per_layer_link_sweep": per_layer, "runs": runs}
+              "medians": medians, "per_layer": per_layer, "runs": runs}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")

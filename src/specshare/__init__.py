@@ -51,7 +51,7 @@ from .simulate import (
     estimate_outage_mc,
     lindley_waits,
     queue_stats_from_trace,
-    run_mg1_detailed,
+    run_mg1,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ it a grid point or the one `eval` reports on, is resolved once: the
 outage tolerance caps its shared-band power before any metric is computed.
 Grid points are evaluated concurrently with per-point random streams derived
 from (master seed, point index), so output is byte-identical regardless of
-worker count; SPECSHARE_THREADS caps the worker pool.
+worker count; SPECSHARE_THREADS caps the worker pool. One queue run serves
+all of a point's modes.
 """
 
 from __future__ import annotations
@@ -148,19 +149,17 @@ def _delay(params: ScenarioParams, mode: ServiceMode,
 def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
                     value: float) -> list[SweepRow]:
     """One row per (metric, mode) cell: its value, or nan and an error message."""
-    # one stream per point, shared by the outage Monte Carlo run and by
-    # every mode's queue run
+    # one stream per point, for the outage Monte Carlo run and the queue run
     rng = lambda: np.random.default_rng([spec.seed, index])
     try:
         params, infeasible = _resolve(_point_params(base, spec, value))
         failed = ""
     except (ValidationError, ValueError) as exc:
         failed = str(exc)
-    # at most one outage Monte Carlo run, shared by both outage metrics, and
-    # one delay evaluation (and at most one queue run) per mode, shared by
-    # every delay metric of this grid point
+    # per point: one outage Monte Carlo run, one delay report per mode, one queue run
     outage_mc: dict[str, simulate.ProbEstimate] = {}
-    per_mode: dict[ServiceMode, tuple] = {}
+    reports: dict[ServiceMode, analytic.DelayReport | str] = {}
+    queue: dict[ServiceMode, simulate.QueueStats] = {}
 
     def cell(metric: str, mode: ServiceMode | None):
         """(analytic, sim mean or None, sim se, sample count) or an error message."""
@@ -177,12 +176,15 @@ def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
                     params, spec.trials, rng())))
             est = outage_mc[metric]
             return exact, est.mean, est.std_error, est.n_trials
-        if mode not in per_mode:
-            report, stats = _delay(params, mode, infeasible), None
-            if spec.packets > 0 and not isinstance(report, str):
-                stats = simulate.run_mg1_detailed(params, mode, spec.packets, rng())
-            per_mode[mode] = report, stats
-        report, stats = per_mode[mode]
+        if not reports:
+            reports.update((m, _delay(params, m, infeasible)) for m in spec.modes)
+            ready = tuple(m for m, report in reports.items() if not isinstance(report, str))
+            if spec.packets > 0 and ready:
+                try:
+                    queue.update(simulate.run_mg1(params, ready, spec.packets, rng()))
+                except ValueError as exc:  # a scenario no arrivals can drive
+                    reports.update(dict.fromkeys(ready, f"queue simulation: {exc}"))
+        report, stats = reports[mode], queue.get(mode)
         if isinstance(report, str):
             return report
         exact_field, mean_field, se_field = _DELAY_FIELDS[metric]

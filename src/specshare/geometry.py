@@ -4,7 +4,8 @@ The interferer field is a homogeneous Poisson point process on a finite disk
 around the typical receiver; the serving base station sits at its fixed
 scenario distance and small-scale fading is unit-mean exponential on every
 link. Each sampled packet re-draws the whole field, so successive service
-delays are i.i.d. as the queueing analysis assumes.
+delays are i.i.d. as the queueing analysis assumes, and draws each band once
+for every mode that uses it.
 """
 
 from __future__ import annotations
@@ -42,47 +43,37 @@ def sample_interference_batch(power: float, density: float, radius: float,
     return out
 
 
-def _shared_capacities(params: ScenarioParams, n: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """n draws of the shared-band capacity B_h * log2(1 + SINR), bits/s."""
-    p = params
-    interference = sample_interference_batch(
-        p.p_h, p.lambda_h, p.mc_radius, p.alpha, n, rng)
-    k0 = rng.exponential(size=n)
-    sinr = p.p_m_shared * p.y0 ** (-p.alpha) * k0 \
-        / (interference + p.noise_psd * p.b_h / p.n_m)
-    return p.b_h * np.log2(1.0 + sinr)
-
-
-def _proprietary_capacities(params: ScenarioParams, n: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """n draws of the proprietary-band capacity B_m * log2(1 + SNR), bits/s."""
-    p = params
-    g0 = rng.exponential(size=n)
-    with np.errstate(divide="ignore"):
-        snr = p.p_m * p.n_m * p.y0 ** (-p.alpha) * g0 / (p.noise_psd * p.b_m)
-    return p.b_m * np.log2(1.0 + snr)
-
-
-def sample_total_capacities(params: ScenarioParams, mode: ServiceMode, n: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """n draws of the bandwidth-scaled capacity serving one packet (bits/s).
-
-    This is the denominator of the service-delay expression for the mode; in
-    combined mode the shared draws come first, so runs seeded identically to a
-    shared-only run share the same interferer fields.
+def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n: int,
+                      rng: np.random.Generator) -> dict[ServiceMode, np.ndarray]:
+    """n draws of each mode's bandwidth-scaled capacity (bits/s), the
+    denominator of its service delay: the proprietary band from rng, the
+    shared band from rng.spawn(1)[0], combined their sum. So the modes share
+    link states packet by packet, and no mode's draws depend on the others.
     """
-    if mode is ServiceMode.PROPRIETARY_ONLY:
-        return _proprietary_capacities(params, n, rng)
-    shared = _shared_capacities(params, n, rng)
-    if mode is ServiceMode.SHARED_ONLY:
-        return shared
-    return shared + _proprietary_capacities(params, n, rng)
+    p = params
+    bands = {}
+    if any(mode is not ServiceMode.SHARED_ONLY for mode in modes):
+        g0 = rng.exponential(size=n)
+        with np.errstate(divide="ignore"):
+            snr = p.p_m * p.n_m * p.y0 ** (-p.alpha) * g0 / (p.noise_psd * p.b_m)
+        bands[ServiceMode.PROPRIETARY_ONLY] = p.b_m * np.log2(1.0 + snr)
+    if any(mode is not ServiceMode.PROPRIETARY_ONLY for mode in modes):
+        shared_rng = rng.spawn(1)[0]
+        interference = sample_interference_batch(
+            p.p_h, p.lambda_h, p.mc_radius, p.alpha, n, shared_rng)
+        k0 = shared_rng.exponential(size=n)
+        sinr = p.p_m_shared * p.y0 ** (-p.alpha) * k0 \
+            / (interference + p.noise_psd * p.b_h / p.n_m)
+        bands[ServiceMode.SHARED_ONLY] = p.b_h * np.log2(1.0 + sinr)
+    if ServiceMode.COMBINED in modes:
+        bands[ServiceMode.COMBINED] = (bands[ServiceMode.SHARED_ONLY]
+                                       + bands[ServiceMode.PROPRIETARY_ONLY])
+    return {mode: bands[mode] for mode in modes}
 
 
-def sample_service_delays(params: ScenarioParams, mode: ServiceMode, n: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. per-packet service delays in seconds; +inf on zero capacity."""
-    capacities = sample_total_capacities(params, mode, n, rng)
+def sample_service_delays(params: ScenarioParams, modes: tuple[ServiceMode, ...], n: int,
+                          rng: np.random.Generator) -> dict[ServiceMode, np.ndarray]:
+    """n i.i.d. per-packet service delays (s) of each mode; +inf on zero capacity."""
     with np.errstate(divide="ignore"):
-        return params.u_m * params.n_m / capacities
+        return {mode: params.u_m * params.n_m / capacities for mode, capacities
+                in sample_capacities(params, modes, n, rng).items()}

@@ -109,7 +109,7 @@ def empirical_service_distribution(params: ScenarioParams, mode: ServiceMode,
     """n i.i.d. per-packet service delays, wrapped for CDF and moment queries."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return EmpiricalDistribution(geometry.sample_service_delays(params, mode, n, rng))
+    return EmpiricalDistribution(geometry.sample_service_delays(params, (mode,), n, rng)[mode])
 
 
 def lindley_waits(arrival_times, services) -> np.ndarray:
@@ -164,13 +164,12 @@ def queue_stats_from_trace(interarrivals, raw_services, t_out: float,
     )
 
 
-def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode, n_packets: int,
-                     rng: np.random.Generator) -> QueueStats:
-    """Simulate the MTC downlink queue: Poisson arrivals, fresh per-packet
-    service delays, FCFS, deadline truncation; statistics with error bars.
-
-    Arrivals and service draws come from independent sub-streams of the given
-    generator, so the same seed reproduces the run bit for bit.
+def run_mg1(params: ScenarioParams, modes: tuple[ServiceMode, ...], n_packets: int,
+            rng: np.random.Generator) -> dict[ServiceMode, QueueStats]:
+    """Simulate the MTC downlink queue in each mode: Poisson arrivals, fresh
+    per-packet service delays, FCFS, deadline truncation; statistics with
+    error bars. All modes share the arrivals and band draws, from independent
+    sub-streams of rng, so a seed reproduces each mode whatever the others.
     """
     if params.lambda_md <= 0:
         raise ValueError("lambda_md must be positive to drive arrivals")
@@ -178,11 +177,19 @@ def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode, n_packets: int,
         raise ValueError("n_packets must be at least 1")
     arrival_rng, service_rng = rng.spawn(2)
     interarrivals = arrival_rng.exponential(1.0 / params.lambda_md, size=n_packets)
-    raw = geometry.sample_service_delays(params, mode, n_packets, service_rng)
-
     warmup = min(int(round(WARMUP_FRAC * n_packets)), n_packets - 1)
-    observed_load = params.lambda_md * float(np.minimum(raw, params.t_out).mean())
-    if observed_load >= 1.0:
-        logger.warning("observed load %.3f >= 1; queue statistics will not converge",
-                       observed_load)
-    return queue_stats_from_trace(interarrivals, raw, params.t_out, warmup)
+    stats = {}
+    for mode, raw in geometry.sample_service_delays(params, modes, n_packets,
+                                                    service_rng).items():
+        observed_load = params.lambda_md * float(np.minimum(raw, params.t_out).mean())
+        if observed_load >= 1.0:
+            logger.warning("observed %s load %.3f >= 1; queue statistics will not converge",
+                           mode.value, observed_load)
+        stats[mode] = queue_stats_from_trace(interarrivals, raw, params.t_out, warmup)
+    return stats
+
+
+def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode, n_packets: int,
+                     rng: np.random.Generator) -> QueueStats:
+    """run_mg1 for one mode, under the name specbench/layers.py traces."""
+    return run_mg1(params, (mode,), n_packets, rng)[mode]

@@ -151,8 +151,8 @@ def check_queue_theory(params: ScenarioParams, packets: int = 1_000_000,
         moments = analytic.truncated_service_moments(analytic.moment_key(params), mode)
         scenario = with_updates(params, lambda_md=rho / moments.m1)
         report = analytic.delay_report(scenario, mode)
-        stats = simulate.run_mg1_detailed(scenario, mode, packets,
-                                          np.random.default_rng(seed + k))
+        stats = simulate.run_mg1(scenario, (mode,), packets,
+                                 np.random.default_rng(seed + k))[mode]
         kept = stats.n_packets - stats.warmup_discarded
 
         mean_err = abs(stats.mean_sojourn - report.mean_delay) / report.mean_delay

@@ -147,8 +147,8 @@ class TestCapacityDistributions:
             assert capacity_cdf(PARAMS, mode, -1e6) == 0.0
 
     def test_shared_cdf_against_sampled_capacities(self):
-        caps = geometry.sample_total_capacities(PARAMS, ServiceMode.SHARED_ONLY,
-                                                100_000, np.random.default_rng(41))
+        caps = geometry.sample_capacities(PARAMS, (ServiceMode.SHARED_ONLY,), 100_000,
+                                          np.random.default_rng(41))[ServiceMode.SHARED_ONLY]
         emp = simulate.EmpiricalDistribution(caps)
         assert emp.ks_distance(
             lambda z: capacity_cdf(PARAMS, ServiceMode.SHARED_ONLY, z)) <= 0.01
@@ -167,8 +167,9 @@ class TestCapacityDistributions:
             finite_difference, rel=1e-6)
 
     def test_proprietary_pdf_histogram_total_variation(self):
-        caps = geometry.sample_total_capacities(PARAMS, ServiceMode.PROPRIETARY_ONLY,
-                                                100_000, np.random.default_rng(42))
+        caps = geometry.sample_capacities(
+            PARAMS, (ServiceMode.PROPRIETARY_ONLY,), 100_000,
+            np.random.default_rng(42))[ServiceMode.PROPRIETARY_ONLY]
         hi = proprietary_tail_cutoff(PARAMS, tail=1e-9)
         edges = np.linspace(0.0, hi, 51)
         observed, _ = np.histogram(np.minimum(caps, hi * 0.999999), bins=edges)
@@ -254,8 +255,9 @@ class TestTruncatedMoments:
 
     def test_first_moment_against_sample_mean(self):
         tm = truncated_service_moments(PARAMS, ServiceMode.PROPRIETARY_ONLY)
-        delays = geometry.sample_service_delays(PARAMS, ServiceMode.PROPRIETARY_ONLY,
-                                                1_000_000, np.random.default_rng(43))
+        delays = geometry.sample_service_delays(
+            PARAMS, (ServiceMode.PROPRIETARY_ONLY,), 1_000_000,
+            np.random.default_rng(43))[ServiceMode.PROPRIETARY_ONLY]
         sampled = float(np.minimum(delays, PARAMS.t_out).mean())
         assert sampled == pytest.approx(tm.m1, rel=0.005)
 

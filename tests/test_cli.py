@@ -153,7 +153,8 @@ class TestRunSweep:
                            table.series("outage_sharing")):
             assert yes.sim_mean >= no.sim_mean
 
-    def test_one_outage_field_per_point(self, monkeypatch):
+    @staticmethod
+    def _count_fields(monkeypatch) -> list:
         calls = []
         sample = geometry.sample_interference_batch
 
@@ -162,8 +163,21 @@ class TestRunSweep:
             return sample(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "sample_interference_batch", counted)
+        return calls
+
+    def test_one_outage_field_per_point(self, monkeypatch):
+        calls = self._count_fields(monkeypatch)
         spec = SweepSpec("lambda_h", 1e-5, 1e-4, 2, metrics=cli.OUTAGE_METRICS,
                          trials=1000, seed=3)
+        table = run_sweep(spec, PARAMS)
+        assert not table.errors
+        assert len(calls) == 2
+
+    def test_one_shared_band_field_per_queue_point(self, monkeypatch):
+        # the shared and combined queue runs of a point share one field draw
+        calls = self._count_fields(monkeypatch)
+        spec = SweepSpec("lambda_h", 1e-5, 1e-4, 2, metrics=cli.DELAY_METRICS,
+                         packets=1000, seed=3)
         table = run_sweep(spec, PARAMS)
         assert not table.errors
         assert len(calls) == 2
@@ -322,6 +336,23 @@ class TestMain:
         assert "error at lambda_mu=1e+296 [mean_delay/combined]: queue unstable" in err
         cells = [float(row.split(",")[4]) for row in out.read_text().splitlines()[1:]]
         assert math.isfinite(cells[0]) and math.isnan(cells[1])
+
+    def test_zero_arrival_rate_point_becomes_error_rows(self, tmp_path, capsys):
+        # validate accepts lambda_md = 0, but no queue run can be driven there
+        out = tmp_path / "sweep.csv"
+        status = cli.main(["sweep", "--var", "lambda_md", "--from", "0", "--to", "10",
+                           "--steps", "2", "--packets", "100", "--out", str(out)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.count("error at lambda_md=0 [") == 6 and "Traceback" not in err
+        assert ("error at lambda_md=0 [mean_delay/combined]: queue simulation: "
+                "lambda_md must be positive") in err
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * (2 + 2 * 3)
+        for _, value, metric, _, analytic_value, sim_mean, *_ in rows:
+            failed = value == "0.0" and metric in cli.DELAY_METRICS
+            assert math.isnan(float(analytic_value)) == failed
+            assert (sim_mean != "") == (metric in cli.DELAY_METRICS and not failed)
 
     def test_quadrature_failure_becomes_error_rows(self, tmp_path, capsys):
         config = tmp_path / "step.cfg"

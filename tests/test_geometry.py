@@ -4,9 +4,9 @@ import numpy as np
 from scipy import integrate, stats
 
 from specshare.geometry import (
+    sample_capacities,
     sample_interference_batch,
     sample_service_delays,
-    sample_total_capacities,
 )
 from specshare.model import ScenarioParams, ServiceMode, validate, with_updates
 
@@ -53,31 +53,36 @@ def test_interference_batch_laplace_functional():
 
 
 def test_combined_never_slower_than_shared_on_common_field():
-    # identical seeds couple the shared-band draws of the two modes
+    # one call draws each band once, so combined adds the proprietary band to
+    # the very shared-band field the shared mode sees
     n = 20_000
-    shared = sample_service_delays(PARAMS, ServiceMode.SHARED_ONLY, n,
-                                   np.random.default_rng(77))
-    combined = sample_service_delays(PARAMS, ServiceMode.COMBINED, n,
-                                     np.random.default_rng(77))
-    assert np.all(combined <= shared)
+    delays = sample_service_delays(PARAMS, (ServiceMode.SHARED_ONLY, ServiceMode.COMBINED),
+                                   n, np.random.default_rng(77))
+    assert np.all(delays[ServiceMode.COMBINED] <= delays[ServiceMode.SHARED_ONLY])
+
+
+def test_combined_capacity_is_the_sum_of_its_bands():
+    caps = sample_capacities(PARAMS, tuple(ServiceMode), 1000, np.random.default_rng(11))
+    assert np.array_equal(caps[ServiceMode.COMBINED],
+                          caps[ServiceMode.SHARED_ONLY] + caps[ServiceMode.PROPRIETARY_ONLY])
 
 
 def test_service_delays_positive():
-    delays = sample_service_delays(PARAMS, ServiceMode.PROPRIETARY_ONLY, 10_000,
-                                   np.random.default_rng(10))
+    delays = sample_service_delays(PARAMS, (ServiceMode.PROPRIETARY_ONLY,), 10_000,
+                                   np.random.default_rng(10))[ServiceMode.PROPRIETARY_ONLY]
     assert np.all(delays > 0.0)
 
 
 def test_capacity_draw_order_is_seed_stable():
-    a = sample_total_capacities(PARAMS, ServiceMode.COMBINED, 1000,
-                                np.random.default_rng(13))
-    b = sample_total_capacities(PARAMS, ServiceMode.COMBINED, 1000,
-                                np.random.default_rng(13))
+    a = sample_capacities(PARAMS, (ServiceMode.COMBINED,), 1000,
+                          np.random.default_rng(13))[ServiceMode.COMBINED]
+    b = sample_capacities(PARAMS, (ServiceMode.COMBINED,), 1000,
+                          np.random.default_rng(13))[ServiceMode.COMBINED]
     assert np.array_equal(a, b)
 
 
 def test_zero_density_leaves_noise_limited_network():
     quiet = with_updates(PARAMS, lambda_h=0.0)
-    delays = sample_service_delays(quiet, ServiceMode.SHARED_ONLY, 1000,
-                                   np.random.default_rng(14))
+    delays = sample_service_delays(quiet, (ServiceMode.SHARED_ONLY,), 1000,
+                                   np.random.default_rng(14))[ServiceMode.SHARED_ONLY]
     assert np.all(np.isfinite(delays))

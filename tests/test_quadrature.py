@@ -130,8 +130,8 @@ def test_convolve_matches_capacity_sum_samples():
     # Monte Carlo oracle: empirical CDF of sampled shared + proprietary
     # capacity sums against the convolution integral
     rng = np.random.default_rng(2024)
-    capacities = geometry.sample_total_capacities(PARAMS, ServiceMode.COMBINED,
-                                                  100_000, rng)
+    capacities = geometry.sample_capacities(PARAMS, (ServiceMode.COMBINED,), 100_000,
+                                            rng)[ServiceMode.COMBINED]
     emp = simulate.EmpiricalDistribution(capacities)
     zs = np.quantile(capacities, np.linspace(0.001, 0.999, 400))
     cdf = lambda z: analytic.capacity_cdf(PARAMS, ServiceMode.COMBINED, z)

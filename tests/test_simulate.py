@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specshare import analytic
+from specshare import analytic, simulate
 from specshare.model import ScenarioParams, ServiceMode, validate, with_updates
 from specshare.simulate import (
     EmpiricalDistribution,
@@ -11,10 +11,12 @@ from specshare.simulate import (
     estimate_outage_mc,
     lindley_waits,
     queue_stats_from_trace,
+    run_mg1,
     run_mg1_detailed,
 )
 
 PARAMS = validate(ScenarioParams())
+PROPRIETARY = ServiceMode.PROPRIETARY_ONLY
 
 
 class TestOutageEstimator:
@@ -98,8 +100,7 @@ class TestLindley:
 class TestQueueRun:
     def test_single_packet(self):
         lonely = with_updates(PARAMS, lambda_md=1e-9)
-        stats = run_mg1_detailed(lonely, ServiceMode.PROPRIETARY_ONLY, 1,
-                                 np.random.default_rng(10))
+        stats = run_mg1(lonely, (PROPRIETARY,), 1, np.random.default_rng(10))[PROPRIETARY]
         assert stats.mean_waiting == 0.0
         assert stats.mean_sojourn > 0.0
         assert stats.n_packets == 1 and stats.warmup_discarded == 0
@@ -116,40 +117,60 @@ class TestQueueRun:
         assert stats.fail_fraction == 0.0
 
     def test_deterministic_under_seed(self):
-        a = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 5000,
-                             np.random.default_rng(12))
-        b = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 5000,
-                             np.random.default_rng(12))
+        a = run_mg1(PARAMS, (PROPRIETARY,), 5000, np.random.default_rng(12))[PROPRIETARY]
+        b = run_mg1(PARAMS, (PROPRIETARY,), 5000, np.random.default_rng(12))[PROPRIETARY]
         assert a == b
 
     def test_stats_invariants(self):
-        stats = run_mg1_detailed(PARAMS, ServiceMode.SHARED_ONLY, 20_000,
-                                 np.random.default_rng(13))
+        stats = run_mg1(PARAMS, (ServiceMode.SHARED_ONLY,), 20_000,
+                        np.random.default_rng(13))[ServiceMode.SHARED_ONLY]
         assert stats.mean_sojourn >= stats.mean_waiting
         assert stats.sojourn_variance >= 0.0
         assert 0.0 <= stats.fail_fraction <= 1.0
         assert stats.warmup_discarded == 2000
 
+    def test_mode_stats_do_not_depend_on_the_other_modes(self):
+        together = run_mg1(PARAMS, tuple(ServiceMode), 5000, np.random.default_rng(19))
+        for mode in ServiceMode:
+            assert run_mg1(PARAMS, (mode,), 5000, np.random.default_rng(19))[mode] \
+                == run_mg1_detailed(PARAMS, mode, 5000, np.random.default_rng(19)) \
+                == together[mode]
+
+    def test_combined_service_never_slower_than_either_band(self, monkeypatch):
+        # one run draws each band once, so combined adds the two capacities of
+        # every packet and serves it no slower than either band alone
+        traces = []
+        record = simulate.queue_stats_from_trace
+
+        def recorded(interarrivals, raw_services, t_out, warmup):
+            traces.append((interarrivals, raw_services))
+            return record(interarrivals, raw_services, t_out, warmup)
+
+        monkeypatch.setattr(simulate, "queue_stats_from_trace", recorded)
+        modes = (ServiceMode.SHARED_ONLY, PROPRIETARY, ServiceMode.COMBINED)
+        run_mg1(PARAMS, modes, 20_000, np.random.default_rng(20))
+        (arrivals, shared), (_, proprietary), (_, combined) = traces
+        assert all(np.array_equal(arrivals, a) for a, _ in traces)
+        assert np.all(combined <= shared) and np.all(combined <= proprietary)
+
     def test_waiting_converges_to_pk_formula_across_loads(self):
-        moments = analytic.truncated_service_moments(PARAMS, ServiceMode.PROPRIETARY_ONLY)
+        moments = analytic.truncated_service_moments(PARAMS, PROPRIETARY)
         for k, (rho, tol) in enumerate([(0.2, 0.03), (0.5, 0.03), (0.8, 0.05)]):
             scenario = with_updates(PARAMS, lambda_md=rho / moments.m1)
             expected = analytic.mg1_waiting(moments, scenario.lambda_md).mean
-            stats = run_mg1_detailed(scenario, ServiceMode.PROPRIETARY_ONLY, 400_000,
-                                     np.random.default_rng(140 + k))
+            stats = run_mg1(scenario, (PROPRIETARY,), 400_000,
+                            np.random.default_rng(140 + k))[PROPRIETARY]
             assert stats.mean_waiting == pytest.approx(expected, rel=tol)
 
     def test_fail_fraction_matches_closed_form(self):
-        tm = analytic.truncated_service_moments(PARAMS, ServiceMode.PROPRIETARY_ONLY)
-        stats = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 200_000,
-                                 np.random.default_rng(15))
+        tm = analytic.truncated_service_moments(PARAMS, PROPRIETARY)
+        stats = run_mg1(PARAMS, (PROPRIETARY,), 200_000, np.random.default_rng(15))[PROPRIETARY]
         kept = stats.n_packets - stats.warmup_discarded
         se = math.sqrt(tm.fail_prob * (1 - tm.fail_prob) / kept)
         assert abs(stats.fail_fraction - tm.fail_prob) <= 3 * se
 
     def test_error_bars_reported(self):
-        stats = run_mg1_detailed(PARAMS, ServiceMode.PROPRIETARY_ONLY, 50_000,
-                                 np.random.default_rng(16))
+        stats = run_mg1(PARAMS, (PROPRIETARY,), 50_000, np.random.default_rng(16))[PROPRIETARY]
         kept = stats.n_packets - stats.warmup_discarded
         assert stats.se_mean_sojourn == pytest.approx(
             math.sqrt(stats.sojourn_variance / kept), rel=1e-6)
@@ -157,12 +178,11 @@ class TestQueueRun:
 
     def test_requires_positive_arrival_rate(self):
         with pytest.raises(ValueError):
-            run_mg1_detailed(with_updates(PARAMS, lambda_md=0.0),
-                             ServiceMode.PROPRIETARY_ONLY, 100, np.random.default_rng(17))
+            run_mg1(with_updates(PARAMS, lambda_md=0.0), (PROPRIETARY,), 100,
+                    np.random.default_rng(17))
 
     def test_unstable_run_is_flagged(self, caplog):
         flooded = with_updates(PARAMS, lambda_md=5000.0)
         with caplog.at_level("WARNING", logger="specshare.simulate"):
-            run_mg1_detailed(flooded, ServiceMode.PROPRIETARY_ONLY, 5000,
-                             np.random.default_rng(18))
+            run_mg1(flooded, (PROPRIETARY,), 5000, np.random.default_rng(18))
         assert any("load" in record.message for record in caplog.records)
