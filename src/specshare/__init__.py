@@ -28,7 +28,6 @@ from .geometry import sample_interference_batch, sample_service_delays
 from .analytic import (
     DelayReport,
     InfeasiblePowerError,
-    PowerBudget,
     TruncatedMoments,
     UnstableQueueError,
     apply_power_budget,

@@ -39,13 +39,6 @@ class InfeasiblePowerError(RuntimeError):
     """No shared-band transmit power satisfies the outage tolerance."""
 
 
-class PowerBudget(NamedTuple):
-    power: float     # admissible shared-band power, capped at p_max (W)
-    bound: float     # raw outage-tolerance bound before the cap (W)
-    feasible: bool   # bound > 0; False means even zero power violates the tolerance
-    clamped: bool    # the p_max cap is the binding constraint
-
-
 class WaitingTime(NamedTuple):
     mean: float      # s
     variance: float  # s^2
@@ -111,11 +104,14 @@ def outage_increment(params: ScenarioParams) -> float:
     return (outage_with_sharing(params) - base) / base
 
 
-def max_mbs_power(params: ScenarioParams) -> PowerBudget:
-    """Largest shared-band MTC power keeping licensed outage within epsilon.
+def max_mbs_power(params: ScenarioParams) -> float:
+    """Largest shared-band MTC power (W) keeping licensed outage within epsilon.
 
-    The returned bound is the raw tolerance limit (it may exceed p_max or be
-    nonpositive); power is the usable value after the p_max cap.
+    Returns the raw bound expm1(-x - log1p(-epsilon)) x0^-alpha (P_h / theta_h)
+    y0^alpha, with x the no-sharing outage exponent; this form neither
+    overflows nor cancels. The bound may exceed p_max, and it is nonpositive
+    when even zero power violates the tolerance; apply_power_budget applies
+    both. It is infinite when theta_h = 0.
     """
     eps = params.epsilon
     if eps is None:
@@ -124,29 +120,25 @@ def max_mbs_power(params: ScenarioParams) -> PowerBudget:
         raise ValueError("epsilon must lie in (0,1)")
     p = params
     if p.theta_h == 0.0:
-        bound = math.inf  # outage is identically zero, any power is admissible
-    else:
-        bracket = 1.0 / ((1.0 - eps) * math.exp(_htc_exponent(params))) - 1.0
-        bound = bracket * p.x0 ** (-p.alpha) * (p.p_h / p.theta_h) * p.y0 ** p.alpha
-    feasible = bound > 0.0
-    power = min(p.p_max, bound) if feasible else 0.0
-    return PowerBudget(power, bound, feasible, feasible and bound >= p.p_max)
+        return math.inf  # outage is identically zero, any power is admissible
+    cross = math.expm1(-_htc_exponent(params) - math.log1p(-eps))
+    return cross * p.x0 ** (-p.alpha) * (p.p_h / p.theta_h) * p.y0 ** p.alpha
 
 
 def apply_power_budget(params: ScenarioParams) -> ScenarioParams:
-    """Replace the shared-band power with the epsilon-capped budget.
+    """Replace the shared-band power with the epsilon bound, capped at p_max.
 
     No-op when epsilon is unset; raises InfeasiblePowerError when the
-    tolerance is below the no-sharing outage floor.
+    tolerance is at or below the no-sharing outage floor.
     """
     if params.epsilon is None:
         return params
-    budget = max_mbs_power(params)
-    if not budget.feasible:
+    bound = max_mbs_power(params)
+    if not bound > 0.0:
         raise InfeasiblePowerError(
             f"outage tolerance {params.epsilon} is below the no-sharing outage "
             f"{outage_no_sharing(params):.6g}; no shared-band power is admissible")
-    return with_updates(params, p_m_shared=budget.power)
+    return with_updates(params, p_m_shared=min(params.p_max, bound))
 
 
 def _shared_coeffs(params: ScenarioParams) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,10 @@ OUTAGE_METRICS = ("outage_no_sharing", "outage_sharing")
 DELAY_METRICS = ("mean_delay", "jitter")
 METRICS = OUTAGE_METRICS + DELAY_METRICS
 MODE_CHOICES = sorted(mode.value for mode in ServiceMode)
+# `eval --metric` names: a bare DelayReport field selects it in every mode
+_REPORT_FIELDS = tuple(field.name for field in fields(analytic.DelayReport))
+EVAL_METRICS = OUTAGE_METRICS + _REPORT_FIELDS + tuple(
+    f"{field}[{mode}]" for mode in MODE_CHOICES for field in _REPORT_FIELDS)
 _SHARED_BAND_MODES = (ServiceMode.SHARED_ONLY, ServiceMode.COMBINED)
 # delay metric -> (DelayReport field, QueueStats estimate, its standard error)
 _DELAY_FIELDS = {"mean_delay": ("mean_delay", "mean_sojourn", "se_mean_sojourn"),
@@ -208,7 +212,10 @@ def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
 def _worker_count() -> int:
     env = os.environ.get("SPECSHARE_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SPECSHARE_THREADS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -257,15 +264,15 @@ def _load_params(path) -> ScenarioParams:
 
 def _cmd_eval(args) -> int:
     params, infeasible = _resolve(_load_params(args.config))
-    wanted = set(args.metric) if args.metric else None
+    wanted = set(args.metric or ())
     status = 0
 
-    def show(name, outcome):
+    def show(name, outcome, field=""):
         nonlocal status
         if isinstance(outcome, str):
             print(f"error[{name}]: {outcome}", file=sys.stderr)
             status = 1
-        elif wanted is None or name in wanted:
+        elif not wanted or name in wanted or field in wanted:
             print(f"{name} = {outcome!r}")
 
     for metric in OUTAGE_METRICS:
@@ -276,7 +283,7 @@ def _cmd_eval(args) -> int:
             show(mode.value, report)
             continue
         for field, value in asdict(report).items():
-            show(f"{field}[{mode.value}]", value)
+            show(f"{field}[{mode.value}]", value, field)
     return status
 
 
@@ -334,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", help="key = value config file (defaults when omitted)")
     p_eval.add_argument("--mode", action="append", choices=MODE_CHOICES,
                         help="service mode(s) to report; default all")
-    p_eval.add_argument("--metric", action="append", help="restrict output to named metrics")
+    p_eval.add_argument("--metric", action="append", choices=EVAL_METRICS, metavar="NAME",
+                        help="restrict output to named metrics: an outage metric, a delay "
+                             "field in every mode, or field[mode]")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="sweep one variable and write a CSV table")

@@ -135,14 +135,14 @@ _INT_FIELDS = frozenset({"n_h", "n_m", "seed"})
 def with_updates(params: ScenarioParams, **changes) -> ScenarioParams:
     """Return validated params with fields replaced.
 
-    Changing lambda_mu without an explicit n_m re-derives n_m from the
-    workshop area, so density sweeps stay consistent. Numeric values are
-    coerced to plain Python scalars, keeping params canonical (hashable,
-    round-trippable) even when callers pass numpy types.
+    The one place n_m is derived: changing lambda_mu or workshop_area without
+    an explicit n_m sets it to device_count(lambda_mu, workshop_area). Numeric
+    values are coerced to plain Python scalars, keeping params canonical
+    (hashable, round-trippable) even when callers pass numpy types.
     """
-    if "lambda_mu" in changes and "n_m" not in changes:
-        area = changes.get("workshop_area", params.workshop_area)
-        changes["n_m"] = device_count(changes["lambda_mu"], area)
+    if "n_m" not in changes and changes.keys() & {"lambda_mu", "workshop_area"}:
+        changes["n_m"] = device_count(changes.get("lambda_mu", params.lambda_mu),
+                                      changes.get("workshop_area", params.workshop_area))
     for key, value in changes.items():
         if value is None:
             continue
@@ -184,8 +184,8 @@ def parse_config(text: str) -> ScenarioParams:
     """Parse a `key = value` config document into validated ScenarioParams.
 
     Lines are `key = value`, `#` starts a comment, blank lines are ignored.
-    Unspecified keys take their defaults. An explicit N_m takes precedence
-    over the lambda_mu-derived device count.
+    Unspecified keys take their defaults; with_updates applies the others, so
+    N_m is derived from lambda_mu_per_m2 and workshop_area_m2 unless it is set.
     """
     assigned: dict[str, object] = {}
     line_of: dict[str, int] = {}
@@ -218,14 +218,13 @@ def parse_config(text: str) -> ScenarioParams:
     if problems:
         raise ConfigError("; ".join(problems))
 
-    if "n_m" not in assigned and "lambda_mu" in assigned:
-        area = assigned.get("workshop_area", ScenarioParams.workshop_area)
-        try:
-            assigned["n_m"] = device_count(assigned["lambda_mu"], area)
-        except ValueError as exc:
-            raise ConfigError(f"line {line_of['lambda_mu']}: {exc}") from None
-
-    return validate(ScenarioParams(**assigned))
+    try:
+        return with_updates(ScenarioParams(), **assigned)
+    except ValidationError:
+        raise
+    except ValueError as exc:  # the derived device count is not finite
+        line = min(line_of[f] for f in ("lambda_mu", "workshop_area") if f in line_of)
+        raise ConfigError(f"line {line}: {exc}") from None
 
 
 def emit_config(params: ScenarioParams) -> str:

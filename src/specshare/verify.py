@@ -61,7 +61,7 @@ def check_power_identity(params: ScenarioParams) -> CheckResult:
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             eps = floor + (1.0 - floor) * frac
             scenario = with_updates(base, epsilon=eps)
-            bound = analytic.max_mbs_power(scenario).bound
+            bound = analytic.max_mbs_power(scenario)
             achieved = analytic.outage_with_sharing(
                 with_updates(scenario, p_m_shared=bound))
             worst = max(worst, abs(achieved - eps))
@@ -236,8 +236,8 @@ def _check(name: str, violations: list[int], extra: str = "") -> CheckResult:
 
 def _epsilon_checks(table: cli.SweepTable) -> list[CheckResult]:
     # tolerance at which the p_max cap starts binding
-    budget_probe = [analytic.max_mbs_power(with_updates(table.base, epsilon=v)).clamped
-                    for v in table.spec.grid()]
+    budget_probe = [analytic.max_mbs_power(with_updates(table.base, epsilon=v))
+                    >= table.base.p_max for v in table.spec.grid()]
     checks = []
     for mode in table.spec.modes:
         name = mode.value

@@ -1,8 +1,10 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specshare import analytic, cli, geometry
 from specshare.cli import (
@@ -269,6 +271,21 @@ class TestMain:
         assert status == 0
         assert "outage_sharing" in out and "mean_delay" not in out
 
+    def test_eval_bare_field_selects_it_in_every_mode(self, capsys):
+        status = cli.main(["eval", "--metric", "mean_delay", "--mode", "combined",
+                           "--mode", "shared", "--metric", "load[proprietary]"])
+        assert status == 0
+        assert list(_eval_values(capsys.readouterr().out)) == [
+            "mean_delay[combined]", "mean_delay[shared]"]
+
+    def test_eval_unknown_metric_exits_2_listing_valid_names(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", "--metric", "mean_dealy"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'mean_dealy'" in err
+        assert all(f"'{name}'" in err for name in ("outage_sharing", "jitter", "jitter[shared]"))
+
     def test_sweep_writes_csv_and_checks_trends(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         status = cli.main([
@@ -288,6 +305,17 @@ class TestMain:
         assert status == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_integer_thread_count_exits_2_naming_the_variable(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        monkeypatch.setenv("SPECSHARE_THREADS", "abc")
+        out = tmp_path / "sweep.csv"
+        status = cli.main(["sweep", "--var", "lambda_md", "--from", "20", "--to", "30",
+                           "--steps", "2", "--out", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err == \
+            "error: SPECSHARE_THREADS must be an integer, got 'abc'\n"
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("nonsense = 1\n")
@@ -295,7 +323,8 @@ class TestMain:
         assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["P_h_dbm = 4000", "N_m = inf", "N_h = 1e400",
-                                      "seed = inf", "lambda_mu_per_m2 = 1e305"])
+                                      "seed = inf", "lambda_mu_per_m2 = 1e305",
+                                      "workshop_area_m2 = inf"])
     def test_overflowing_config_value_exits_2_with_line_number(self, tmp_path, capsys,
                                                                line):
         config = tmp_path / "overflow.cfg"
@@ -446,6 +475,16 @@ class TestOutageTolerance:
             "error[outage_sharing]", "error[shared]", "error[combined]"]
         assert all("no shared-band power is admissible" in line for line in errors)
 
+    def test_eval_unreachable_tolerance_is_reported_not_raised(self, tmp_path, capsys):
+        # the no-sharing outage is one: exp of its exponent overflows a float
+        config = tmp_path / "noisy.cfg"
+        config.write_text("epsilon = 0.5\nN0_w_per_hz = 1\n")
+        assert cli.main(["eval", "--config", str(config)]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert [line.partition(":")[0] for line in errors] == [
+            "error[outage_sharing]", "error[shared]", "error[proprietary]",
+            "error[combined]"]
+
     def test_verify_rejects_infeasible_tolerance(self, tmp_path, capsys):
         status = cli.main(["verify", "--config", _eps_config(tmp_path, INFEASIBLE_EPSILON)])
         assert status == 2
@@ -476,3 +515,41 @@ class TestSeed:
         config.write_text("seed = -3\n")
         assert cli.main(["eval", "--config", str(config)]) == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# a wide scenario box: noise up to 1 W/Hz and licensed density up to 1e2 /m^2
+# push the no-sharing outage to one and the power budget far below zero
+_PIPELINE_SCENARIOS = st.builds(
+    lambda **changes: with_updates(PARAMS, **changes),
+    p_h=_log_uniform(1e-3, 1e3), p_m=_log_uniform(1e-3, 1e3),
+    p_m_shared=_log_uniform(1e-3, 1e3), p_max=_log_uniform(1e-3, 1e3),
+    x0=_log_uniform(1.0, 100.0), y0=_log_uniform(1.0, 100.0),
+    b_h=_log_uniform(1e6, 1e9), b_m=_log_uniform(1e6, 1e9),
+    noise_psd=_log_uniform(1e-21, 1.0), alpha=_log_uniform(2.05, 6.0),
+    t_out=_log_uniform(1e-3, 0.1), lambda_h=_log_uniform(1e-6, 1e2),
+    n_h=_log_uniform(1.0, 1e4).map(round), n_m=_log_uniform(1.0, 1000.0).map(round),
+    theta_h=_log_uniform(1e-3, 10.0),
+    epsilon=st.none() | st.floats(1e-4, 0.999, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PIPELINE_SCENARIOS, _log_uniform(1e-2, 1e4))
+def test_sweep_point_rows_are_finite_in_range_or_errors(base, lambda_md):
+    # the combined mode is left out: its moments cost about 0.1 s each
+    spec = SweepSpec("lambda_md", 0.0, 1.0, 2,
+                     modes=(ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = cli._evaluate_point(spec, base, 0, lambda_md)
+    assert len(rows) == 2 + 2 * 2
+    for row in rows:
+        if row.error:
+            assert math.isnan(row.analytic)
+        elif row.metric in cli.OUTAGE_METRICS:
+            assert 0.0 <= row.analytic <= 1.0
+        else:
+            assert 0.0 <= row.analytic < math.inf

@@ -91,6 +91,7 @@ def test_parse_config_missing_equals():
 def test_parse_config_device_count_derivation():
     p = parse_config("lambda_mu_per_m2 = 0.05\nworkshop_area_m2 = 1e4")
     assert p.n_m == 500
+    assert parse_config("workshop_area_m2 = 20000").n_m == 200
     explicit = parse_config("lambda_mu_per_m2 = 0.05\nN_m = 7")
     assert explicit.n_m == 7  # explicit count wins over the density mapping
 
@@ -132,6 +133,9 @@ def test_with_updates_rederives_device_count():
     base = validate(ScenarioParams())
     assert with_updates(base, lambda_mu=0.02).n_m == 200
     assert with_updates(base, lambda_mu=0.02, n_m=5).n_m == 5
+    assert with_updates(base, workshop_area=2e4).n_m == 200
+    assert with_updates(base, workshop_area=2e4, lambda_mu=0.03).n_m == 600
+    assert with_updates(base, workshop_area=2e4, n_m=5).n_m == 5
     with pytest.raises(ValidationError):
         with_updates(base, alpha=1.5)
 
