@@ -43,11 +43,10 @@ from .analytic import (
     truncated_service_moments,
 )
 from .simulate import (
-    EmpiricalDistribution,
     ProbEstimate,
     QueueStats,
-    empirical_service_distribution,
     estimate_outage_mc,
+    ks_distance,
     lindley_waits,
     queue_stats_from_trace,
     run_mg1,

@@ -263,6 +263,11 @@ def _load_params(path) -> ScenarioParams:
 
 
 def _cmd_eval(args) -> int:
+    modes = [ServiceMode(m) for m in args.mode] if args.mode else list(ServiceMode)
+    for name in args.metric or ():
+        mode = name.partition("[")[2].rstrip("]")
+        if mode and ServiceMode(mode) not in modes:
+            raise ValueError(f"metric {name} needs mode {mode}, which --mode leaves out")
     params, infeasible = _resolve(_load_params(args.config))
     wanted = set(args.metric or ())
     status = 0
@@ -277,7 +282,7 @@ def _cmd_eval(args) -> int:
 
     for metric in OUTAGE_METRICS:
         show(metric, _outage(params, metric, infeasible))
-    for mode in [ServiceMode(m) for m in args.mode] if args.mode else ServiceMode:
+    for mode in modes:
         report = _delay(params, mode, infeasible)
         if isinstance(report, str):
             show(mode.value, report)

@@ -1,5 +1,7 @@
-"""Monte Carlo oracles: outage estimation over interferer fields, empirical
-service-delay distributions, and a deadline-truncated FCFS M/G/1 queue.
+"""Monte Carlo oracles: outage estimation over interferer fields, the
+sup-norm distance of a sample to a closed-form CDF, and a deadline-truncated
+FCFS M/G/1 queue. Service-delay samples come from
+``geometry.sample_service_delays``.
 
 These estimators share no code path with the closed forms in
 ``specshare.analytic``; agreement between the two is the package's core
@@ -77,39 +79,17 @@ def estimate_outage_mc(params: ScenarioParams, n_trials: int,
     return tuple(estimates)
 
 
-class EmpiricalDistribution:
-    """Sorted i.i.d. sample exposing CDF evaluation and truncated moments."""
-
-    def __init__(self, samples):
-        self.samples = np.sort(np.asarray(samples, dtype=float))
-        self.n = int(self.samples.size)
-        if self.n == 0:
-            raise ValueError("empirical distribution needs at least one sample")
-
-    def cdf(self, t):
-        """Empirical CDF, right-continuous; accepts scalars or arrays."""
-        positions = np.searchsorted(self.samples, np.asarray(t, dtype=float),
-                                    side="right") / self.n
-        return float(positions) if positions.ndim == 0 else positions
-
-    def truncated_moment(self, order: int, cap: float) -> float:
-        """Sample mean of min(sample, cap) ** order."""
-        return float(np.mean(np.minimum(self.samples, cap) ** order))
-
-    def ks_distance(self, cdf) -> float:
-        """Sup-norm distance to a reference CDF, evaluated at every jump."""
-        reference = np.asarray(cdf(self.samples), dtype=float)
-        upper = np.arange(1, self.n + 1) / self.n
-        return float(np.max(np.maximum(np.abs(reference - upper),
-                                       np.abs(reference - upper + 1.0 / self.n))))
-
-
-def empirical_service_distribution(params: ScenarioParams, mode: ServiceMode,
-                                   n: int, rng: np.random.Generator) -> EmpiricalDistribution:
-    """n i.i.d. per-packet service delays, wrapped for CDF and moment queries."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return EmpiricalDistribution(geometry.sample_service_delays(params, (mode,), n, rng)[mode])
+def ks_distance(samples, cdf) -> float:
+    """Sup-norm distance between the empirical CDF of samples and a reference
+    CDF, taken on both sides of every jump."""
+    ordered = np.sort(np.asarray(samples, dtype=float))
+    n = ordered.size
+    if n == 0:
+        raise ValueError("ks_distance needs at least one sample")
+    reference = np.asarray(cdf(ordered), dtype=float)
+    upper = np.arange(1, n + 1) / n
+    return float(np.max(np.maximum(np.abs(reference - upper),
+                                   np.abs(reference - upper + 1.0 / n))))
 
 
 def lindley_waits(arrival_times, services) -> np.ndarray:

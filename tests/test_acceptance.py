@@ -5,6 +5,8 @@ and asserts the criterion. Runs the same checks as `specshare verify`.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,3 +99,14 @@ def test_criterion_8_sweep_determinism(params, monkeypatch):
     _report(verify.check_determinism(params))
     assert workers == [4, 1]
     assert os.environ["SPECSHARE_THREADS"] == "1"
+
+
+def test_verify_import_leaves_scipy_interpolate_unloaded():
+    # criterion 3 interpolates its combined reference with numpy alone
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, specshare.verify; sys.exit('scipy.interpolate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "scipy.interpolate was imported"

@@ -153,9 +153,8 @@ class TestCapacityDistributions:
     def test_shared_cdf_against_sampled_capacities(self):
         caps = geometry.sample_capacities(PARAMS, (ServiceMode.SHARED_ONLY,), 100_000,
                                           np.random.default_rng(41))[ServiceMode.SHARED_ONLY]
-        emp = simulate.EmpiricalDistribution(caps)
-        assert emp.ks_distance(
-            lambda z: capacity_cdf(PARAMS, ServiceMode.SHARED_ONLY, z)) <= 0.01
+        assert simulate.ks_distance(
+            caps, lambda z: capacity_cdf(PARAMS, ServiceMode.SHARED_ONLY, z)) <= 0.01
 
     def test_proprietary_pdf_normalizes(self):
         pdf = lambda u: capacity_pdf_proprietary(PARAMS, u)

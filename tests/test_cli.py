@@ -273,10 +273,17 @@ class TestMain:
 
     def test_eval_bare_field_selects_it_in_every_mode(self, capsys):
         status = cli.main(["eval", "--metric", "mean_delay", "--mode", "combined",
-                           "--mode", "shared", "--metric", "load[proprietary]"])
+                           "--mode", "shared"])
         assert status == 0
         assert list(_eval_values(capsys.readouterr().out)) == [
             "mean_delay[combined]", "mean_delay[shared]"]
+
+    def test_eval_field_of_an_unrequested_mode_exits_2_naming_it(self, capsys):
+        status = cli.main(["eval", "--metric", "load[proprietary]", "--mode", "shared"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "load[proprietary]" in captured.err and "mode proprietary" in captured.err
 
     def test_eval_unknown_metric_exits_2_listing_valid_names(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specshare import analytic, geometry, simulate
+from specshare import analytic, geometry
 from specshare.model import ScenarioParams, ServiceMode, validate
 from specshare.quadrature import (
     REL_TOL,
@@ -132,8 +132,8 @@ def test_convolve_matches_capacity_sum_samples():
     rng = np.random.default_rng(2024)
     capacities = geometry.sample_capacities(PARAMS, (ServiceMode.COMBINED,), 100_000,
                                             rng)[ServiceMode.COMBINED]
-    emp = simulate.EmpiricalDistribution(capacities)
+    ordered = np.sort(capacities)
     zs = np.quantile(capacities, np.linspace(0.001, 0.999, 400))
-    cdf = lambda z: analytic.capacity_cdf(PARAMS, ServiceMode.COMBINED, z)
-    worst = max(abs(cdf(float(z)) - emp.cdf(float(z))) for z in zs)
+    empirical = np.searchsorted(ordered, zs, side="right") / ordered.size
+    worst = np.max(np.abs(analytic.capacity_cdf(PARAMS, ServiceMode.COMBINED, zs) - empirical))
     assert worst <= 0.01

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from specshare import analytic, simulate
+from specshare import analytic, geometry, simulate
 from specshare.model import ScenarioParams, ServiceMode, validate, with_updates
 from specshare.simulate import (
-    EmpiricalDistribution,
-    empirical_service_distribution,
     estimate_outage_mc,
+    ks_distance,
     lindley_waits,
     queue_stats_from_trace,
     run_mg1,
@@ -49,37 +48,41 @@ class TestOutageEstimator:
 
 
 class TestEmpiricalDistribution:
-    def test_cdf_and_moments(self):
-        emp = EmpiricalDistribution([3.0, 1.0, 2.0])
-        assert emp.cdf(0.5) == 0.0
-        assert emp.cdf(1.0) == pytest.approx(1 / 3)
-        assert emp.cdf(10.0) == 1.0
-        assert emp.truncated_moment(1, 2.5) == pytest.approx((1 + 2 + 2.5) / 3)
+    def test_ks_distance_of_hand_built_sample(self):
+        # against the uniform CDF on [0, 1] the empirical CDF of these four
+        # points lies furthest off just after 0.3: |0.3 - 3/4| = 0.45
+        distance = ks_distance([0.9, 0.1, 0.3, 0.2], lambda t: t)
+        assert distance == pytest.approx(0.45, abs=1e-15)
+
+    def test_ks_distance_rejects_empty_sample(self):
+        with pytest.raises(ValueError):
+            ks_distance([], lambda t: t)
 
     def test_ks_against_own_cdf_is_small(self):
         rng = np.random.default_rng(6)
-        emp = EmpiricalDistribution(rng.exponential(size=20_000))
-        distance = emp.ks_distance(lambda t: 1.0 - np.exp(-np.asarray(t)))
+        distance = ks_distance(rng.exponential(size=20_000),
+                               lambda t: 1.0 - np.exp(-np.asarray(t)))
         assert distance <= 1.63 / math.sqrt(20_000)  # 1% KS critical value
 
     def test_service_draws_positive(self):
-        emp = empirical_service_distribution(PARAMS, ServiceMode.COMBINED, 2000,
-                                             np.random.default_rng(7))
-        assert emp.samples[0] > 0.0
+        delays = geometry.sample_service_delays(PARAMS, (ServiceMode.COMBINED,), 2000,
+                                                np.random.default_rng(7))
+        assert delays[ServiceMode.COMBINED].min() > 0.0
 
     def test_proprietary_cdf_supnorm(self):
-        emp = empirical_service_distribution(PARAMS, ServiceMode.PROPRIETARY_ONLY,
-                                             100_000, np.random.default_rng(8))
-        reference = lambda t: analytic.service_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, t)
-        assert emp.ks_distance(reference) <= 0.01
+        delays = geometry.sample_service_delays(PARAMS, (PROPRIETARY,), 100_000,
+                                                np.random.default_rng(8))[PROPRIETARY]
+        reference = lambda t: analytic.service_cdf(PARAMS, PROPRIETARY, t)
+        assert ks_distance(delays, reference) <= 0.01
 
     def test_truncated_mean_tracks_analytic(self):
-        emp = empirical_service_distribution(PARAMS, ServiceMode.PROPRIETARY_ONLY,
-                                             200_000, np.random.default_rng(9))
-        tm = analytic.truncated_service_moments(PARAMS, ServiceMode.PROPRIETARY_ONLY)
-        m1 = emp.truncated_moment(1, PARAMS.t_out)
-        m2 = emp.truncated_moment(2, PARAMS.t_out)
-        se = math.sqrt((m2 - m1 * m1) / emp.n)
+        delays = geometry.sample_service_delays(PARAMS, (PROPRIETARY,), 200_000,
+                                                np.random.default_rng(9))[PROPRIETARY]
+        tm = analytic.truncated_service_moments(PARAMS, PROPRIETARY)
+        capped = np.minimum(delays, PARAMS.t_out)
+        m1 = float(np.mean(capped))
+        m2 = float(np.mean(capped ** 2))
+        se = math.sqrt((m2 - m1 * m1) / capped.size)
         assert abs(m1 - tm.m1) <= 3 * se
 
 
