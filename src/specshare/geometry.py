@@ -5,19 +5,27 @@ around the typical receiver; the serving base station sits at its fixed
 scenario distance and small-scale fading is unit-mean exponential on every
 link. Each sampled packet re-draws the whole field, so successive service
 delays are i.i.d. as the queueing analysis assumes, and draws each band once
-for every mode that uses it.
+for every mode that uses it. Fields are drawn in chunks of about
+_CHUNK_POINTS points, which fix the order of the random draws, and summed in
+pieces of _PIECE_POINTS points, which bound the memory at any density without
+changing a draw.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from .model import ScenarioParams, ServiceMode
 
-# cap on PPP points materialized per numpy batch (memory bound)
+# PPP points per chunk of fields. A chunk draws its fields' point counts, then
+# one radius uniform per point, then one fading gain per point, so changing
+# this value changes every seeded sample.
 _CHUNK_POINTS = 4_000_000
+# points per in-place working piece: bounds memory, leaves the draws alone
+_PIECE_POINTS = 1 << 16
 
 
 def sample_interference_batch(power: float, density: float, radius: float,
@@ -25,21 +33,46 @@ def sample_interference_batch(power: float, density: float, radius: float,
                               rng: np.random.Generator) -> np.ndarray:
     """Aggregate interference power for n independent PPP realizations.
 
-    Chunked so at most a few million field points are materialized at once.
+    Each chunk's points are worked through _PIECE_POINTS at a time, a field
+    that straddles pieces adding up across them, so memory stays bounded at
+    any density. The gains are read from a copy of rng's bit generator moved
+    past the chunk's uniforms, which assumes one 64-bit output per uniform:
+    true of PCG64, the bit generator of every default_rng and spawned
+    Generator in this program.
     """
     mean_count = density * math.pi * radius * radius
     per_chunk = max(1, int(_CHUNK_POINTS / max(mean_count, 1.0)))
-    out = np.empty(n)
+    out = np.zeros(n)
+    uniforms = np.empty(_PIECE_POINTS)
+    gains = np.empty(_PIECE_POINTS)
     for start in range(0, n, per_chunk):
         m = min(per_chunk, n - start)
         counts = rng.poisson(mean_count, size=m)
+        occupied = np.flatnonzero(counts)
+        first_points = np.cumsum(counts[occupied]) - counts[occupied]
         total = int(counts.sum())
-        radii = radius * np.sqrt(rng.random(total))
-        gains = rng.exponential(size=total)
-        with np.errstate(divide="ignore"):
-            contrib = power * radii ** (-alpha) * gains
-        owners = np.repeat(np.arange(m), counts)
-        out[start:start + m] = np.bincount(owners, weights=contrib, minlength=m)
+        gain_rng = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        gain_rng.bit_generator.advance(total)
+        for lo in range(0, total, _PIECE_POINTS):
+            k = min(_PIECE_POINTS, total - lo)
+            piece = rng.random(out=uniforms[:k])
+            np.sqrt(piece, out=piece)
+            piece *= radius
+            with np.errstate(divide="ignore"):
+                piece **= -alpha
+            piece *= power
+            # the draws of rng.exponential(size=k), written into gains
+            piece *= gain_rng.standard_exponential(out=gains[:k])
+            first = np.searchsorted(first_points, lo, side="right") - 1
+            last = np.searchsorted(first_points, lo + k)
+            offsets = first_points[first:last] - lo
+            offsets[0] = 0
+            out[start + occupied[first:last]] += np.add.reduceat(piece, offsets)
+        # move rng past the gains, keeping any buffered 32-bit half output
+        # of rng's own, which advance() cleared from the copy
+        state = rng.bit_generator.state
+        state["state"] = gain_rng.bit_generator.state["state"]
+        rng.bit_generator.state = state
     return out
 
 

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from scipy import integrate, stats
 
+from specshare import geometry
 from specshare.geometry import (
     sample_capacities,
     sample_interference_batch,
@@ -50,6 +53,66 @@ def test_interference_batch_laplace_functional():
     assert 0.4 < expected < 0.6
     std_error = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - expected) <= 3 * std_error
+
+
+def _materialising_reference(power, density, radius, alpha, n, rng):
+    # the sampler as it was before it worked in pieces: every point of a chunk
+    # at once, summed per field in point order by bincount
+    mean_count = density * math.pi * radius * radius
+    per_chunk = max(1, int(geometry._CHUNK_POINTS / max(mean_count, 1.0)))
+    out = np.empty(n)
+    for start in range(0, n, per_chunk):
+        m = min(per_chunk, n - start)
+        counts = rng.poisson(mean_count, size=m)
+        total = int(counts.sum())
+        radii = radius * np.sqrt(rng.random(total))
+        gains = rng.exponential(size=total)
+        with np.errstate(divide="ignore"):
+            contrib = power * radii ** (-alpha) * gains
+        owners = np.repeat(np.arange(m), counts)
+        out[start:start + m] = np.bincount(owners, weights=contrib, minlength=m)
+    return out
+
+
+_DEFAULT_FIELD = (PARAMS.p_h, PARAMS.lambda_h, PARAMS.mc_radius, PARAMS.alpha)
+
+
+@pytest.mark.parametrize("field, n, piece_points, half_output", [
+    (_DEFAULT_FIELD, 20_000, None, False),
+    ((1.0, 0.0, 1000.0, 4.0), 100, None, False),
+    ((1.0, 0.3 / (math.pi * 1000.0 ** 2), 1000.0, 4.0), 20_000, None, False),  # ~0.3 a field
+    (_DEFAULT_FIELD, 200, 7, False),  # every field straddles many pieces
+    (_DEFAULT_FIELD, 200, None, True),
+], ids=["default", "zero-density", "sparse", "denser-than-a-piece", "buffered-32-bit-half"])
+def test_interference_batch_matches_materialising_reference(monkeypatch, field, n,
+                                                            piece_points, half_output):
+    # the same draws in the same order: each contribution is bit-identical,
+    # and only the per-field sums differ, pairwise against sequential
+    if piece_points is not None:
+        monkeypatch.setattr(geometry, "_PIECE_POINTS", piece_points)
+    rng, reference_rng = np.random.default_rng(21), np.random.default_rng(21)
+    if half_output:  # a float32 draw leaves half of a 64-bit output buffered
+        rng.random(dtype=np.float32), reference_rng.random(dtype=np.float32)
+    np.testing.assert_allclose(sample_interference_batch(*field, n, rng),
+                               _materialising_reference(*field, n, reference_rng),
+                               rtol=1e-12, atol=0)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert np.array_equal(rng.random(8), reference_rng.random(8))
+
+
+@pytest.mark.parametrize("density, n", [
+    (PARAMS.lambda_h, 20_000),
+    (3e5 / (math.pi * PARAMS.mc_radius ** 2), 20),  # ~3e5 points a field
+], ids=["default", "dense"])
+def test_interference_batch_memory_is_bounded(density, n):
+    tracemalloc.start()
+    try:
+        sample_interference_batch(PARAMS.p_h, density, PARAMS.mc_radius, PARAMS.alpha, n,
+                                  np.random.default_rng(22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_combined_never_slower_than_shared_on_common_field():
