@@ -92,7 +92,8 @@ def test_interference_batch_matches_materialising_reference(monkeypatch, field, 
         monkeypatch.setattr(geometry, "_PIECE_POINTS", piece_points)
     rng, reference_rng = np.random.default_rng(21), np.random.default_rng(21)
     if half_output:  # a float32 draw leaves half of a 64-bit output buffered
-        rng.random(dtype=np.float32), reference_rng.random(dtype=np.float32)
+        for generator in (rng, reference_rng):
+            generator.random(dtype=np.float32)
     np.testing.assert_allclose(sample_interference_batch(*field, n, rng),
                                _materialising_reference(*field, n, reference_rng),
                                rtol=1e-12, atol=0)
