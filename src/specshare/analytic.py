@@ -9,7 +9,6 @@ Every formula here has an independent Monte Carlo counterpart in
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -26,9 +25,6 @@ _CONV_TAIL = 1e-12
 # enters the delay only through the load
 MOMENT_FIELDS = ("p_h", "p_m", "p_m_shared", "y0", "b_h", "b_m", "noise_psd", "alpha",
                  "u_m", "t_out", "lambda_h", "n_m")
-# taken around the moment cache, picked by key, so concurrent sweep points
-# with one link budget compute its moments once
-_MOMENT_LOCKS = tuple(threading.Lock() for _ in range(8))
 
 
 class UnstableQueueError(RuntimeError):
@@ -335,10 +331,7 @@ def delay_report(params: ScenarioParams, mode: ServiceMode) -> DelayReport:
     Takes the effective scenario: params.p_m_shared is used as given, so a
     caller with an outage tolerance passes apply_power_budget(params).
     """
-    key = moment_key(params)
-    # the lock is outside the cached call: a waiter gets a cache hit
-    with _MOMENT_LOCKS[hash((key, mode)) % len(_MOMENT_LOCKS)]:
-        tm = truncated_service_moments(key, mode)
+    tm = truncated_service_moments(moment_key(params), mode)
     wt = mg1_waiting(tm, params.lambda_md)
     service_variance = max(0.0, tm.m2 - tm.m1 ** 2)
     return DelayReport(

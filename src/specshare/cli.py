@@ -6,10 +6,14 @@ Sweep grids are linear in the swept variable, except transmit powers which
 sweep linearly in dBm (the value column then holds dBm). Every scenario, be
 it a grid point or the one `eval` reports on, is resolved once: the
 outage tolerance caps its shared-band power before any metric is computed.
-Grid points are evaluated concurrently with per-point random streams derived
-from (master seed, point index), so output is byte-identical regardless of
-worker count; SPECSHARE_THREADS caps the worker pool. One queue run serves
-all of a point's modes.
+Each grid point splits in two halves. Its closed forms run on the calling
+thread, point after point, so ``specshare.analytic`` and its moment cache are
+only ever used from one thread. Its Monte Carlo half (the outage run, the
+queue run and the rows) goes to a worker pool as soon as its closed forms are
+done, so it overlaps the closed forms of the next point. Every point draws
+from its own random stream, derived from (master seed, point index), so
+output is byte-identical regardless of worker count; SPECSHARE_THREADS caps
+the worker pool. One queue run serves all of a point's modes.
 """
 
 from __future__ import annotations
@@ -56,6 +60,13 @@ _DELAY_FIELDS = {"mean_delay": ("mean_delay", "mean_sojourn", "se_mean_sojourn")
 CSV_HEADER = "variable,value,metric,mode,analytic,sim_mean,sim_ci_lo,sim_ci_hi,n"
 
 
+def _reject_repeats(option: str, values) -> None:
+    """Raise ValueError naming every value given more than once."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{option} {', '.join(repeated)} given more than once")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -71,6 +82,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"sweep bounds must be finite, got {self.start} to {self.stop}")
         if not self.start < self.stop:
             raise ValueError("sweep start must be below stop")
         if self.steps < 2:
@@ -81,6 +94,8 @@ class SweepSpec:
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
+        _reject_repeats("metric", self.metrics)
+        _reject_repeats("mode", [mode.value for mode in self.modes])
 
     def grid(self) -> list[float]:
         return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
@@ -150,62 +165,61 @@ def _delay(params: ScenarioParams, mode: ServiceMode,
         return str(exc)
 
 
-def _evaluate_point(spec: SweepSpec, base: ScenarioParams, index: int,
-                    value: float) -> list[SweepRow]:
-    """One row per (metric, mode) cell: its value, or nan and an error message."""
-    # one stream per point, for the outage Monte Carlo run and the queue run
-    rng = lambda: np.random.default_rng([spec.seed, index])
+def _closed_forms(spec: SweepSpec, base: ScenarioParams,
+                  value: float) -> tuple[ScenarioParams | None, dict, dict]:
+    """The point's effective scenario, its outage probability per requested
+    outage metric and its delay report per mode (when a delay metric is
+    requested), each replaced by the reason it cannot be computed. The
+    scenario is None when the point fails validation."""
+    outage_metrics = [m for m in spec.metrics if m in OUTAGE_METRICS]
+    modes = spec.modes if set(spec.metrics) & set(DELAY_METRICS) else ()
     try:
         params, infeasible = _resolve(_point_params(base, spec, value))
-        failed = ""
     except (ValidationError, ValueError) as exc:
-        failed = str(exc)
-    # per point: one outage Monte Carlo run, one delay report per mode, one queue run
-    outage_mc: dict[str, simulate.ProbEstimate] = {}
-    reports: dict[ServiceMode, analytic.DelayReport | str] = {}
-    queue: dict[ServiceMode, simulate.QueueStats] = {}
+        return None, dict.fromkeys(outage_metrics, str(exc)), dict.fromkeys(modes, str(exc))
+    return (params, {m: _outage(params, m, infeasible) for m in outage_metrics},
+            {mode: _delay(params, mode, infeasible) for mode in modes})
 
-    def cell(metric: str, mode: ServiceMode | None):
-        """(analytic, sim mean or None, sim se, sample count) or an error message."""
-        if failed:
-            return failed
-        if mode is None:
-            exact = _outage(params, metric, infeasible)
-            if isinstance(exact, str):
-                return exact
-            if spec.trials <= 0:
-                return exact, None, None, 0
-            if not outage_mc:
-                outage_mc.update(zip(OUTAGE_METRICS, simulate.estimate_outage_mc(
-                    params, spec.trials, rng())))
-            est = outage_mc[metric]
-            return exact, est.mean, est.std_error, est.n_trials
-        if not reports:
-            reports.update((m, _delay(params, m, infeasible)) for m in spec.modes)
-            ready = tuple(m for m, report in reports.items() if not isinstance(report, str))
-            if spec.packets > 0 and ready:
-                try:
-                    queue.update(simulate.run_mg1(params, ready, spec.packets, rng()))
-                except ValueError as exc:  # a scenario no arrivals can drive
-                    reports.update(dict.fromkeys(ready, f"queue simulation: {exc}"))
-        report, stats = reports[mode], queue.get(mode)
-        if isinstance(report, str):
-            return report
-        exact_field, mean_field, se_field = _DELAY_FIELDS[metric]
-        if stats is None:
-            return getattr(report, exact_field), None, None, 0
-        return (getattr(report, exact_field), getattr(stats, mean_field),
-                getattr(stats, se_field), stats.n_packets - stats.warmup_discarded)
+
+def _monte_carlo_rows(spec: SweepSpec, index: int, value: float,
+                      params: ScenarioParams | None, outages: dict,
+                      reports: dict) -> list[SweepRow]:
+    """One row per (metric, mode) cell: its closed form with the Monte Carlo
+    estimate the spec asks for, or nan and an error message. Takes what
+    _closed_forms returns; one outage run and one queue run per point, and
+    neither for cells whose closed form failed."""
+    # one stream per point, for the outage Monte Carlo run and the queue run
+    rng = lambda: np.random.default_rng([spec.seed, index])
+    outage_mc, queue = {}, {}
+    if spec.trials > 0 and any(not isinstance(o, str) for o in outages.values()):
+        outage_mc = dict(zip(OUTAGE_METRICS,
+                             simulate.estimate_outage_mc(params, spec.trials, rng())))
+    ready = tuple(m for m, report in reports.items() if not isinstance(report, str))
+    if spec.packets > 0 and ready:
+        try:
+            queue = simulate.run_mg1(params, ready, spec.packets, rng())
+        except ValueError as exc:  # a scenario no arrivals can drive
+            reports = {**reports, **dict.fromkeys(ready, f"queue simulation: {exc}")}
 
     rows = []
     for metric in spec.metrics:
         for mode in (None,) if metric in OUTAGE_METRICS else spec.modes:
-            outcome = cell(metric, mode)
-            error = outcome if isinstance(outcome, str) else ""
-            exact, mean, se, n = (math.nan, None, None, 0) if error else outcome
+            if mode is None:
+                exact, est = outages[metric], outage_mc.get(metric)
+                sim = None if est is None else (est.mean, est.std_error, est.n_trials)
+            else:
+                exact_field, mean_field, se_field = _DELAY_FIELDS[metric]
+                exact, stats = reports[mode], queue.get(mode)
+                if not isinstance(exact, str):
+                    exact = getattr(exact, exact_field)
+                sim = None if stats is None else (
+                    getattr(stats, mean_field), getattr(stats, se_field),
+                    stats.n_packets - stats.warmup_discarded)
+            error = exact if isinstance(exact, str) else ""
+            mean, se, n = (None, None, 0) if error or sim is None else sim
             ci = (None, None) if mean is None else (mean - 1.96 * se, mean + 1.96 * se)
             rows.append(SweepRow(value, metric, mode.value if mode else "",
-                                 exact, mean, *ci, n, error))
+                                 math.nan if error else exact, mean, *ci, n, error))
     return rows
 
 
@@ -220,13 +234,14 @@ def _worker_count() -> int:
 
 
 def run_sweep(spec: SweepSpec, base: ScenarioParams) -> SweepTable:
-    """Evaluate every grid point; failures become error rows, not aborts."""
+    """Evaluate every grid point; failures become error rows, not aborts.
+    Closed forms run on this thread, each point's Monte Carlo in the pool."""
     validate(base)
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        per_point = list(pool.map(
-            lambda iv: _evaluate_point(spec, base, iv[0], iv[1]),
-            enumerate(spec.grid())))
-    rows = [row for point_rows in per_point for row in point_rows]
+        futures = [pool.submit(_monte_carlo_rows, spec, index, value,
+                               *_closed_forms(spec, base, value))
+                   for index, value in enumerate(spec.grid())]
+        rows = [row for future in futures for row in future.result()]
     return SweepTable(spec, base, tuple(rows))
 
 
@@ -263,6 +278,8 @@ def _load_params(path) -> ScenarioParams:
 
 
 def _cmd_eval(args) -> int:
+    _reject_repeats("mode", args.mode or [])
+    _reject_repeats("metric", args.metric or [])
     modes = [ServiceMode(m) for m in args.mode] if args.mode else list(ServiceMode)
     for name in args.metric or ():
         mode = name.partition("[")[2].rstrip("]")

@@ -88,6 +88,14 @@ class ScenarioParams:
     seed: int = 0                 # master RNG seed, >= 0
 
 
+def _path_loss_is_float(distance: float, alpha: float) -> bool:
+    """Whether distance ** alpha and distance ** -alpha are finite, nonzero floats."""
+    try:
+        return all(0.0 < distance ** e < math.inf for e in (alpha, -alpha))
+    except OverflowError:
+        return False
+
+
 def validate(params: ScenarioParams) -> ScenarioParams:
     """Check every scenario invariant; return the params unchanged if all hold.
 
@@ -113,6 +121,13 @@ def validate(params: ScenarioParams) -> ScenarioParams:
 
     if not (math.isfinite(params.alpha) and params.alpha > 2):
         problems.append(f"alpha must exceed 2 (sin(2*pi/alpha) pole at 2), got {params.alpha!r}")
+    else:
+        for name in ("x0", "y0"):
+            d = getattr(params, name)
+            if isinstance(d, (int, float)) and 0 < d < math.inf \
+                    and not _path_loss_is_float(d, params.alpha):
+                problems.append(f"{name} ** alpha and {name} ** -alpha must be finite and "
+                                f"nonzero, got {name} = {d!r}, alpha = {params.alpha!r}")
     if not (math.isfinite(params.t_out) and params.t_out > 0):
         problems.append("t_out must be positive")
     for name in ("n_h", "n_m"):

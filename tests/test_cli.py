@@ -1,12 +1,13 @@
 import math
 import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specshare import analytic, cli, geometry
+from specshare import analytic, cli, geometry, simulate
 from specshare.cli import (
     CSV_HEADER,
     SweepRow,
@@ -61,6 +62,19 @@ class TestSweepSpec:
     def test_rejects_negative_monte_carlo_size(self, field):
         with pytest.raises(ValueError, match=field):
             SweepSpec("lambda_h", 1e-5, 1e-4, 2, **{field: -5})
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1e-4),
+                                        (math.nan, 1e-4)])
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="sweep bounds must be finite"):
+            SweepSpec("lambda_h", *bounds, 3)
+
+    def test_rejects_repeated_metric_or_mode(self):
+        with pytest.raises(ValueError, match="metric jitter given more than once"):
+            SweepSpec("lambda_md", 20.0, 50.0, 2, metrics=("jitter", "mean_delay", "jitter"))
+        with pytest.raises(ValueError, match="mode shared given more than once"):
+            SweepSpec("lambda_md", 20.0, 50.0, 2,
+                      modes=(ServiceMode.SHARED_ONLY, ServiceMode.SHARED_ONLY))
 
     def test_grid_is_linear(self):
         spec = SweepSpec("lambda_md", 10.0, 30.0, 3)
@@ -131,6 +145,25 @@ class TestRunSweep:
             assert analytic.truncated_service_moments.cache_info().misses == 3
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_closed_forms_on_the_calling_thread_monte_carlo_in_the_pool(self, monkeypatch):
+        # analytic and its moment cache are used from one thread only
+        monkeypatch.setenv("SPECSHARE_THREADS", "4")
+        threads = {"delay_report": [], "estimate_outage_mc": [], "run_mg1": []}
+        for module, name in ((analytic, "delay_report"), (simulate, "estimate_outage_mc"),
+                             (simulate, "run_mg1")):
+            def spy(*args, _original=getattr(module, name), _calls=threads[name]):
+                _calls.append(threading.get_ident())
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        spec = SweepSpec("lambda_h", 1e-5, 1e-4, 4, trials=1000, packets=1000, seed=3)
+        table = run_sweep(spec, PARAMS)
+        assert not table.errors
+        caller = threading.get_ident()
+        assert threads["delay_report"] == [caller] * 4 * 3
+        for name in ("estimate_outage_mc", "run_mg1"):
+            assert len(threads[name]) == 4 and caller not in threads[name]
 
     def test_point_streams_do_not_collide_across_seeds(self):
         # the proprietary queue ignores epsilon, so equal simulated values at
@@ -323,6 +356,29 @@ class TestMain:
             "error: SPECSHARE_THREADS must be an integer, got 'abc'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, repeated", [
+        (["eval", "--mode", "shared", "--mode", "shared"], "mode shared"),
+        (["eval", "--metric", "jitter", "--metric", "jitter"], "metric jitter"),
+        (["sweep", "--var", "lambda_md", "--from", "20", "--to", "50", "--steps", "2",
+          "--mode", "shared", "--mode", "shared", "--metric", "mean_delay"], "mode shared")])
+    def test_repeated_option_value_exits_2_naming_it(self, tmp_path, capsys, argv, repeated):
+        out = tmp_path / "sweep.csv"
+        extra = ["--out", str(out)] if argv[0] == "sweep" else []
+        assert cli.main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {repeated} given more than once\n"
+
+    def test_non_finite_sweep_bound_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = cli.main(["sweep", "--var", "lambda_h", "--from", "0", "--to", "inf",
+                               "--steps", "3", "--out", str(out)])
+        assert status == 2
+        assert "sweep bounds must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("nonsense = 1\n")
@@ -338,6 +394,16 @@ class TestMain:
         config.write_text(f"alpha = 4\n{line}\n")
         assert cli.main(["eval", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    @pytest.mark.parametrize("line", ["alpha = 400", "x0_m = 1e300", "y0_m = 1e-300",
+                                      "x0_m = 1e-300"])
+    def test_path_loss_beyond_a_float_exits_2(self, tmp_path, capsys, line):
+        config = tmp_path / "pathloss.cfg"
+        config.write_text(f"{line}\n")
+        assert cli.main(["eval", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "** alpha and" in err
 
     @pytest.mark.parametrize("argv", [
         ["--var", "P_h", "--from", "20", "--to", "4000", "--steps", "2"],
@@ -551,7 +617,8 @@ def test_sweep_point_rows_are_finite_in_range_or_errors(base, lambda_md):
                      modes=(ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = cli._evaluate_point(spec, base, 0, lambda_md)
+        rows = cli._monte_carlo_rows(spec, 0, lambda_md,
+                                     *cli._closed_forms(spec, base, lambda_md))
     assert len(rows) == 2 + 2 * 2
     for row in rows:
         if row.error:

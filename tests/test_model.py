@@ -109,6 +109,14 @@ def test_validate_names_each_violation():
     assert "p_h must be positive" in message
 
 
+@pytest.mark.parametrize("text, field", [("alpha = 400", "x0"), ("x0_m = 1e300", "x0"),
+                                         ("y0_m = 1e-300", "y0")])
+def test_validate_rejects_path_loss_beyond_a_float(text, field):
+    # x0 ** alpha or x0 ** -alpha would overflow or vanish in the outage formulas
+    with pytest.raises(ValidationError, match=rf"{field} \*\* alpha and {field} \*\* -alpha"):
+        parse_config(text)
+
+
 def test_validate_integer_counts():
     with pytest.raises(ValidationError, match="n_m"):
         validate(ScenarioParams(n_m=0))
