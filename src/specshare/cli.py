@@ -4,13 +4,15 @@ live in ``specshare.verify``.
 
 Sweep grids are linear in the swept variable, except transmit powers which
 sweep linearly in dBm (the value column then holds dBm). Every scenario, be
-it a grid point or the one `eval` reports on, is resolved once: the
-outage tolerance caps its shared-band power before any metric is computed.
-Each grid point splits in two halves. Its closed forms run on the calling
-thread, point after point, so ``specshare.analytic`` and its moment cache are
-only ever used from one thread. Its Monte Carlo half (the outage run, the
-queue run and the rows) goes to a worker pool as soon as its closed forms are
-done, so it overlaps the closed forms of the next point. Every point draws
+it a grid point or the one `eval` reports on, goes through one evaluator,
+``_closed_forms``: it is resolved once (the outage tolerance caps its
+shared-band power), then only its requested cells are computed, so `eval`
+prints, and sets its exit status from, only the cells --metric and --mode
+request. Each grid point splits in two halves. Its closed forms run on the
+calling thread, point after point, so ``specshare.analytic`` and its moment
+cache are only ever used from one thread. Its Monte Carlo half (the outage
+run, the queue run and the rows) goes to a worker pool as soon as its closed
+forms are done, so it overlaps the closed forms of the next point. Every point draws
 from its own random stream, derived from (master seed, point index), so
 output is byte-identical regardless of worker count; SPECSHARE_THREADS caps
 the worker pool. One queue run serves all of a point's modes.
@@ -128,57 +130,33 @@ class SweepTable:
         return [r for r in self.rows if r.error]
 
 
-def _point_params(base: ScenarioParams, spec: SweepSpec, value: float) -> ScenarioParams:
-    field, convert, _ = CONFIG_KEYS[SWEEP_VARIABLES[spec.variable]]
-    return with_updates(base, **{field: convert(value)})
-
-
-def _resolve(params: ScenarioParams) -> tuple[ScenarioParams, str]:
-    """The effective scenario, with the shared-band power capped by epsilon,
-    and the reason no shared-band power is admissible ("" when one is).
+def _closed_forms(params: ScenarioParams, outage_metrics,
+                  modes) -> tuple[ScenarioParams, dict, dict]:
+    """The scenario with its shared-band power capped by epsilon, the value of
+    each requested outage metric and the DelayReport of each requested mode,
+    each value or report replaced by the reason it cannot be computed.
 
     An infeasible tolerance fails only the cells that need the shared band,
-    outage_sharing and the shared and combined modes; outage_no_sharing and
-    the proprietary mode are computed from the scenario as configured.
+    outage_sharing and the shared and combined modes; the other cells are
+    computed from the scenario as configured.
     """
     try:
-        return analytic.apply_power_budget(params), ""
+        params, infeasible = analytic.apply_power_budget(params), ""
     except InfeasiblePowerError as exc:
-        return params, str(exc)
-
-
-def _outage(params: ScenarioParams, metric: str, infeasible: str) -> float | str:
-    """The outage metric, or why it cannot be computed."""
-    if metric == "outage_no_sharing":
-        return analytic.outage_no_sharing(params)
-    return infeasible if infeasible else analytic.outage_with_sharing(params)
-
-
-def _delay(params: ScenarioParams, mode: ServiceMode,
-           infeasible: str) -> analytic.DelayReport | str:
-    """The mode's delay report, or why it cannot be computed."""
-    if infeasible and mode in _SHARED_BAND_MODES:
-        return infeasible
-    try:
-        return analytic.delay_report(params, mode)
-    except (UnstableQueueError, QuadratureError) as exc:
-        return str(exc)
-
-
-def _closed_forms(spec: SweepSpec, base: ScenarioParams,
-                  value: float) -> tuple[ScenarioParams | None, dict, dict]:
-    """The point's effective scenario, its outage probability per requested
-    outage metric and its delay report per mode (when a delay metric is
-    requested), each replaced by the reason it cannot be computed. The
-    scenario is None when the point fails validation."""
-    outage_metrics = [m for m in spec.metrics if m in OUTAGE_METRICS]
-    modes = spec.modes if set(spec.metrics) & set(DELAY_METRICS) else ()
-    try:
-        params, infeasible = _resolve(_point_params(base, spec, value))
-    except (ValidationError, ValueError) as exc:
-        return None, dict.fromkeys(outage_metrics, str(exc)), dict.fromkeys(modes, str(exc))
-    return (params, {m: _outage(params, m, infeasible) for m in outage_metrics},
-            {mode: _delay(params, mode, infeasible) for mode in modes})
+        infeasible = str(exc)
+    outages, reports = {}, {}
+    for metric in outage_metrics:
+        if metric == "outage_no_sharing":
+            outages[metric] = analytic.outage_no_sharing(params)
+        else:
+            outages[metric] = infeasible or analytic.outage_with_sharing(params)
+    for mode in modes:
+        try:
+            reports[mode] = (infeasible if infeasible and mode in _SHARED_BAND_MODES
+                             else analytic.delay_report(params, mode))
+        except (UnstableQueueError, QuadratureError) as exc:
+            reports[mode] = str(exc)
+    return params, outages, reports
 
 
 def _monte_carlo_rows(spec: SweepSpec, index: int, value: float,
@@ -237,10 +215,19 @@ def run_sweep(spec: SweepSpec, base: ScenarioParams) -> SweepTable:
     """Evaluate every grid point; failures become error rows, not aborts.
     Closed forms run on this thread, each point's Monte Carlo in the pool."""
     validate(base)
+    field, convert, _ = CONFIG_KEYS[SWEEP_VARIABLES[spec.variable]]
+    outage_metrics = [m for m in spec.metrics if m in OUTAGE_METRICS]
+    modes = spec.modes if set(spec.metrics) & set(DELAY_METRICS) else ()
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = [pool.submit(_monte_carlo_rows, spec, index, value,
-                               *_closed_forms(spec, base, value))
-                   for index, value in enumerate(spec.grid())]
+        futures = []
+        for index, value in enumerate(spec.grid()):
+            try:
+                point = _closed_forms(with_updates(base, **{field: convert(value)}),
+                                      outage_metrics, modes)
+            except (ValidationError, ValueError) as exc:  # an invalid point scenario
+                point = (None, dict.fromkeys(outage_metrics, str(exc)),
+                         dict.fromkeys(modes, str(exc)))
+            futures.append(pool.submit(_monte_carlo_rows, spec, index, value, *point))
         rows = [row for future in futures for row in future.result()]
     return SweepTable(spec, base, tuple(rows))
 
@@ -285,27 +272,24 @@ def _cmd_eval(args) -> int:
         mode = name.partition("[")[2].rstrip("]")
         if mode and ServiceMode(mode) not in modes:
             raise ValueError(f"metric {name} needs mode {mode}, which --mode leaves out")
-    params, infeasible = _resolve(_load_params(args.config))
-    wanted = set(args.metric or ())
+    # requested: every cell without --metric, else each it names or names the field of
+    cells = {*OUTAGE_METRICS, *(f"{f}[{m.value}]" for m in modes for f in _REPORT_FIELDS)}
+    if args.metric:
+        cells = {cell for cell in cells if {cell, cell.partition("[")[0]} & set(args.metric)}
+    _, outages, reports = _closed_forms(
+        _load_params(args.config), [m for m in OUTAGE_METRICS if m in cells],
+        [m for m in modes if any(cell.endswith(f"[{m.value}]") for cell in cells)])
+    lines = list(outages.items())
+    for mode, report in reports.items():
+        lines += [(mode.value, report)] if isinstance(report, str) else [
+            (f"{field}[{mode.value}]", value) for field, value in asdict(report).items()]
     status = 0
-
-    def show(name, outcome, field=""):
-        nonlocal status
+    for name, outcome in lines:
         if isinstance(outcome, str):
             print(f"error[{name}]: {outcome}", file=sys.stderr)
             status = 1
-        elif not wanted or name in wanted or field in wanted:
+        elif name in cells:
             print(f"{name} = {outcome!r}")
-
-    for metric in OUTAGE_METRICS:
-        show(metric, _outage(params, metric, infeasible))
-    for mode in modes:
-        report = _delay(params, mode, infeasible)
-        if isinstance(report, str):
-            show(mode.value, report)
-            continue
-        for field, value in asdict(report).items():
-            show(f"{field}[{mode.value}]", value, field)
     return status
 
 

@@ -133,8 +133,8 @@ class TestRunSweep:
         assert all(not r.error for r in combined)
 
     def test_lambda_md_sweep_computes_each_mode_once(self, tmp_path, monkeypatch):
-        # the moments depend on the link budget only, and concurrent points
-        # with one link budget wait for one evaluation instead of repeating it
+        # the moments depend on the link budget only, and points with one link
+        # budget, evaluated one after another, reuse its one evaluation
         spec = SweepSpec("lambda_md", 20.0, 200.0, 10)
         csvs = []
         for threads in ("4", "1"):
@@ -303,6 +303,28 @@ class TestMain:
         out = capsys.readouterr().out
         assert status == 0
         assert "outage_sharing" in out and "mean_delay" not in out
+
+    # every queue is unstable at 1000 packets/s, and all but combined at 500
+    @pytest.mark.parametrize("rate, metric, evaluated", [
+        (1000, "outage_no_sharing", []),
+        (500, "mean_delay[combined]", [ServiceMode.COMBINED])])
+    def test_eval_evaluates_and_reports_only_requested_cells(self, tmp_path, capsys,
+                                                             monkeypatch, rate, metric,
+                                                             evaluated):
+        config = tmp_path / "rate.cfg"
+        config.write_text(f"lambda_md_per_s = {rate}\n")
+        modes, delay_report = [], analytic.delay_report
+
+        def spy(params, mode):
+            modes.append(mode)
+            return delay_report(params, mode)
+
+        monkeypatch.setattr(analytic, "delay_report", spy)
+        status = cli.main(["eval", "--config", str(config), "--metric", metric])
+        captured = capsys.readouterr()
+        assert status == 0 and captured.err == ""
+        assert list(_eval_values(captured.out)) == [metric]
+        assert modes == evaluated
 
     def test_eval_bare_field_selects_it_in_every_mode(self, capsys):
         status = cli.main(["eval", "--metric", "mean_delay", "--mode", "combined",
@@ -617,8 +639,8 @@ def test_sweep_point_rows_are_finite_in_range_or_errors(base, lambda_md):
                      modes=(ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = cli._monte_carlo_rows(spec, 0, lambda_md,
-                                     *cli._closed_forms(spec, base, lambda_md))
+        rows = cli._monte_carlo_rows(spec, 0, lambda_md, *cli._closed_forms(
+            with_updates(base, lambda_md=lambda_md), cli.OUTAGE_METRICS, spec.modes))
     assert len(rows) == 2 + 2 * 2
     for row in rows:
         if row.error:
