@@ -24,7 +24,7 @@ from .quadrature import (
     convolve_cdf_pdf,
     integrate,
 )
-from .geometry import sample_interference_batch, sample_service_delays
+from .geometry import FieldBudgetError, sample_interference_batch, sample_service_delays
 from .analytic import (
     DelayReport,
     InfeasiblePowerError,

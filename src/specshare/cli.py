@@ -15,7 +15,10 @@ run, the queue run and the rows) goes to a worker pool as soon as its closed
 forms are done, so it overlaps the closed forms of the next point. Every point draws
 from its own random stream, derived from (master seed, point index), so
 output is byte-identical regardless of worker count; SPECSHARE_THREADS caps
-the worker pool. One queue run serves all of a point's modes.
+the worker pool. One queue run serves all of a point's modes, and a point
+draws its interferer fields once for its outage run and its queue run. A
+Monte Carlo run beyond the field budget (``geometry.MAX_FIELD_POINTS``) fails
+only its point's cells.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import analytic, simulate
+from . import analytic, geometry, simulate
 from .analytic import InfeasiblePowerError, UnstableQueueError
 from .model import (
     CONFIG_KEYS,
@@ -165,18 +168,27 @@ def _monte_carlo_rows(spec: SweepSpec, index: int, value: float,
     """One row per (metric, mode) cell: its closed form with the Monte Carlo
     estimate the spec asks for, or nan and an error message. Takes what
     _closed_forms returns; one outage run and one queue run per point, and
-    neither for cells whose closed form failed."""
+    neither for cells whose closed form failed. The interferer fields the
+    outage run draws are the queue run's first shared-band fields."""
     # one stream per point, for the outage Monte Carlo run and the queue run
     rng = lambda: np.random.default_rng([spec.seed, index])
-    outage_mc, queue = {}, {}
-    if spec.trials > 0 and any(not isinstance(o, str) for o in outages.values()):
-        outage_mc = dict(zip(OUTAGE_METRICS,
-                             simulate.estimate_outage_mc(params, spec.trials, rng())))
+    outage_mc, queue, fields = {}, {}, None
+    valid = [m for m, outage in outages.items() if not isinstance(outage, str)]
+    if spec.trials > 0 and valid:
+        outage_rng = rng()
+        try:
+            fields = geometry.sample_interference_batch(
+                params.p_h, params.lambda_h, params.mc_radius, params.alpha,
+                spec.trials, outage_rng)
+            outage_mc = dict(zip(OUTAGE_METRICS, simulate.estimate_outage_mc(
+                params, spec.trials, outage_rng, fields)))
+        except ValueError as exc:  # a field beyond the Monte Carlo budget
+            outages = {**outages, **dict.fromkeys(valid, f"outage simulation: {exc}")}
     ready = tuple(m for m, report in reports.items() if not isinstance(report, str))
     if spec.packets > 0 and ready:
         try:
-            queue = simulate.run_mg1(params, ready, spec.packets, rng())
-        except ValueError as exc:  # a scenario no arrivals can drive
+            queue = simulate.run_mg1(params, ready, spec.packets, rng(), fields)
+        except ValueError as exc:  # no arrivals, or a field beyond the budget
             reports = {**reports, **dict.fromkeys(ready, f"queue simulation: {exc}")}
 
     rows = []

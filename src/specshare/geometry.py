@@ -5,7 +5,10 @@ around the typical receiver; the serving base station sits at its fixed
 scenario distance and small-scale fading is unit-mean exponential on every
 link. Each sampled packet re-draws the whole field, so successive service
 delays are i.i.d. as the queueing analysis assumes, and draws each band once
-for every mode that uses it. Fields are drawn in chunks of about
+for every mode that uses it. The shared band can take its leading fields from
+a caller, so a sweep point's queue run reads the fields its outage run drew.
+A call whose expected PPP point count exceeds MAX_FIELD_POINTS raises
+FieldBudgetError before any draw. Fields are drawn in chunks of about
 _CHUNK_POINTS points, which fix the order of the random draws, and summed in
 pieces of _PIECE_POINTS points, which bound the memory at any density without
 changing a draw.
@@ -26,6 +29,13 @@ from .model import ScenarioParams, ServiceMode
 _CHUNK_POINTS = 4_000_000
 # points per in-place working piece: bounds memory, leaves the draws alone
 _PIECE_POINTS = 1 << 16
+# expected PPP points one call may draw: about a minute at the 2.8e7 points/s
+# measured in sweeps
+MAX_FIELD_POINTS = 2e9
+
+
+class FieldBudgetError(ValueError):
+    """A field draw whose expected point count exceeds MAX_FIELD_POINTS."""
 
 
 def sample_interference_batch(power: float, density: float, radius: float,
@@ -41,6 +51,11 @@ def sample_interference_batch(power: float, density: float, radius: float,
     Generator in this program.
     """
     mean_count = density * math.pi * radius * radius
+    if n * mean_count > MAX_FIELD_POINTS:
+        raise FieldBudgetError(
+            f"{n} interferer fields of {mean_count:.3g} expected points each "
+            f"({n * mean_count:.3g} points) exceed the Monte Carlo budget of "
+            f"{MAX_FIELD_POINTS:.3g} points")
     per_chunk = max(1, int(_CHUNK_POINTS / max(mean_count, 1.0)))
     out = np.zeros(n)
     uniforms = np.empty(_PIECE_POINTS)
@@ -77,11 +92,17 @@ def sample_interference_batch(power: float, density: float, radius: float,
 
 
 def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n: int,
-                      rng: np.random.Generator) -> dict[ServiceMode, np.ndarray]:
+                      rng: np.random.Generator,
+                      interference: np.ndarray | None = None) -> dict[ServiceMode, np.ndarray]:
     """n draws of each mode's bandwidth-scaled capacity (bits/s), the
     denominator of its service delay: the proprietary band from rng, the
     shared band from rng.spawn(1)[0], combined their sum. So the modes share
     link states packet by packet, and no mode's draws depend on the others.
+
+    The shared band's first packets take their fields from interference, an
+    array of fields drawn with this scenario's law (a sweep point passes its
+    outage run's); only the packets beyond it draw their own, and none do
+    when it covers all n.
     """
     p = params
     bands = {}
@@ -92,11 +113,13 @@ def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n:
         bands[ServiceMode.PROPRIETARY_ONLY] = p.b_m * np.log2(1.0 + snr)
     if any(mode is not ServiceMode.PROPRIETARY_ONLY for mode in modes):
         shared_rng = rng.spawn(1)[0]
-        interference = sample_interference_batch(
-            p.p_h, p.lambda_h, p.mc_radius, p.alpha, n, shared_rng)
+        fields = np.empty(0) if interference is None else interference[:n]
+        if fields.size < n:
+            fields = np.concatenate((fields, sample_interference_batch(
+                p.p_h, p.lambda_h, p.mc_radius, p.alpha, n - fields.size, shared_rng)))
         k0 = shared_rng.exponential(size=n)
         sinr = p.p_m_shared * p.y0 ** (-p.alpha) * k0 \
-            / (interference + p.noise_psd * p.b_h / p.n_m)
+            / (fields + p.noise_psd * p.b_h / p.n_m)
         bands[ServiceMode.SHARED_ONLY] = p.b_h * np.log2(1.0 + sinr)
     if ServiceMode.COMBINED in modes:
         bands[ServiceMode.COMBINED] = (bands[ServiceMode.SHARED_ONLY]
@@ -105,8 +128,10 @@ def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n:
 
 
 def sample_service_delays(params: ScenarioParams, modes: tuple[ServiceMode, ...], n: int,
-                          rng: np.random.Generator) -> dict[ServiceMode, np.ndarray]:
-    """n i.i.d. per-packet service delays (s) of each mode; +inf on zero capacity."""
+                          rng: np.random.Generator,
+                          interference: np.ndarray | None = None) -> dict[ServiceMode, np.ndarray]:
+    """n i.i.d. per-packet service delays (s) of each mode; +inf on zero
+    capacity. interference is passed to sample_capacities."""
     with np.errstate(divide="ignore"):
         return {mode: params.u_m * params.n_m / capacities for mode, capacities
-                in sample_capacities(params, modes, n, rng).items()}
+                in sample_capacities(params, modes, n, rng, interference).items()}

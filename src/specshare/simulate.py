@@ -1,7 +1,9 @@
 """Monte Carlo oracles: outage estimation over interferer fields, the
 sup-norm distance of a sample to a closed-form CDF, and a deadline-truncated
 FCFS M/G/1 queue. Service-delay samples come from
-``geometry.sample_service_delays``.
+``geometry.sample_service_delays``. Both the outage estimator and the queue
+can take interferer fields drawn by their caller, so that a sweep point draws
+its field once for its outage run and its queue run.
 
 These estimators share no code path with the closed forms in
 ``specshare.analytic``; agreement between the two is the package's core
@@ -52,19 +54,23 @@ class QueueStats:
     se_sojourn_variance: float  # s^2, standard error of sojourn_variance
 
 
-def estimate_outage_mc(params: ScenarioParams, n_trials: int,
-                       rng: np.random.Generator) -> tuple[ProbEstimate, ProbEstimate]:
+def estimate_outage_mc(params: ScenarioParams, n_trials: int, rng: np.random.Generator,
+                       interference: np.ndarray | None = None
+                       ) -> tuple[ProbEstimate, ProbEstimate]:
     """Estimate licensed-user outage without and with sharing, in that order.
 
     Each trial draws the PPP field, the serving-link fading and the cross-link
     fading once; both estimates are taken from those same trials, so the
-    sharing estimate never falls below the no-sharing one.
+    sharing estimate never falls below the no-sharing one. interference, when
+    given, holds the n_trials fields, drawn from rng just before the call:
+    the fading draws then continue the same stream.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     p = params
-    interference = geometry.sample_interference_batch(
-        p.p_h, p.lambda_h, p.mc_radius, p.alpha, n_trials, rng)
+    if interference is None:
+        interference = geometry.sample_interference_batch(
+            p.p_h, p.lambda_h, p.mc_radius, p.alpha, n_trials, rng)
     h0 = rng.exponential(size=n_trials)
     g0 = rng.exponential(size=n_trials)
 
@@ -145,11 +151,13 @@ def queue_stats_from_trace(interarrivals, raw_services, t_out: float,
 
 
 def run_mg1(params: ScenarioParams, modes: tuple[ServiceMode, ...], n_packets: int,
-            rng: np.random.Generator) -> dict[ServiceMode, QueueStats]:
+            rng: np.random.Generator,
+            interference: np.ndarray | None = None) -> dict[ServiceMode, QueueStats]:
     """Simulate the MTC downlink queue in each mode: Poisson arrivals, fresh
     per-packet service delays, FCFS, deadline truncation; statistics with
     error bars. All modes share the arrivals and band draws, from independent
     sub-streams of rng, so a seed reproduces each mode whatever the others.
+    interference, leading shared-band fields, goes to sample_service_delays.
     """
     if params.lambda_md <= 0:
         raise ValueError("lambda_md must be positive to drive arrivals")
@@ -160,7 +168,7 @@ def run_mg1(params: ScenarioParams, modes: tuple[ServiceMode, ...], n_packets: i
     warmup = min(int(round(WARMUP_FRAC * n_packets)), n_packets - 1)
     stats = {}
     for mode, raw in geometry.sample_service_delays(params, modes, n_packets,
-                                                    service_rng).items():
+                                                    service_rng, interference).items():
         observed_load = params.lambda_md * float(np.minimum(raw, params.t_out).mean())
         if observed_load >= 1.0:
             logger.warning("observed %s load %.3f >= 1; queue statistics will not converge",

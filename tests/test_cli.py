@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -217,6 +220,25 @@ class TestRunSweep:
         assert not table.errors
         assert len(calls) == 2
 
+    def test_one_field_per_point_for_outage_and_queue(self, monkeypatch):
+        # the queue run's shared band reads the fields the outage run drew
+        calls = self._count_fields(monkeypatch)
+        spec = SweepSpec("lambda_h", 1e-5, 1e-4, 2, trials=1000, packets=1000, seed=3)
+        table = run_sweep(spec, PARAMS)
+        assert not table.errors
+        assert len([args for args in calls if args[4] > 0]) == 2
+
+    def test_outage_cells_do_not_depend_on_packets(self, tmp_path):
+        spec = SweepSpec("P_h", 20.0, 30.0, 3, trials=3000, seed=13)
+        outage_lines = []
+        for packets in (0, 5000):
+            out = tmp_path / f"{packets}.csv"
+            emit_csv(run_sweep(dataclasses.replace(spec, packets=packets), PARAMS), out)
+            outage_lines.append([line for line in out.read_text().splitlines()
+                                 if ",outage_" in line])
+        assert len(outage_lines[0]) == 3 * 2
+        assert outage_lines[0] == outage_lines[1]
+
     def test_simulated_columns_carry_confidence_intervals(self):
         spec = SweepSpec("lambda_h", 1e-5, 1e-4, 2, metrics=("outage_sharing",),
                          trials=20_000, seed=5)
@@ -261,14 +283,17 @@ class TestEmitCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        spec = SweepSpec("lambda_h", 1e-5, 1e-4, 3, metrics=("outage_sharing",),
-                         trials=5000, seed=11)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("SPECSHARE_THREADS", "3")
-        emit_csv(run_sweep(spec, PARAMS), a)
-        monkeypatch.setenv("SPECSHARE_THREADS", "1")
-        emit_csv(run_sweep(spec, PARAMS), b)
-        assert a.read_bytes() == b.read_bytes()
+        # the second sweep's queue runs draw 2000 fields beyond the outage run's
+        for spec in (SweepSpec("lambda_h", 1e-5, 1e-4, 3, metrics=("outage_sharing",),
+                               trials=5000, seed=11),
+                     SweepSpec("lambda_h", 1e-5, 1e-4, 3, trials=3000, packets=5000,
+                               seed=11)):
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            monkeypatch.setenv("SPECSHARE_THREADS", "3")
+            emit_csv(run_sweep(spec, PARAMS), a)
+            monkeypatch.setenv("SPECSHARE_THREADS", "1")
+            emit_csv(run_sweep(spec, PARAMS), b)
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestCheckTrends:
@@ -492,6 +517,25 @@ class TestMain:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 2
         assert all(row.split(",")[4] == "nan" for row in rows)
+
+    def test_monte_carlo_beyond_the_field_budget_becomes_error_rows(self, tmp_path):
+        # each field at 1e12 BSs/m^2 holds about 3e18 points: the point must
+        # fail before drawing. A subprocess bounds the wait if it does not.
+        out = tmp_path / "budget.csv"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "specshare.cli", "sweep", "--var", "lambda_h",
+             "--from", "1e-4", "--to", "1e12", "--steps", "2", "--trials", "10",
+             "--metric", "outage_no_sharing", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        assert ("error at lambda_h=1e+12 [outage_no_sharing]: outage simulation: "
+                "10 interferer fields of 3.14e+18 expected points each") in done.stderr
+        valid, over = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert math.isfinite(float(valid[4])) and valid[5] != "" and valid[8] == "10"
+        assert math.isnan(float(over[4])) and over[5] == "" and over[8] == "0"
 
     def test_eval_reports_quadrature_failure(self, tmp_path, capsys):
         config = tmp_path / "step.cfg"

@@ -116,6 +116,27 @@ def test_interference_batch_memory_is_bounded(density, n):
     assert peak < 8e6
 
 
+def test_field_budget_is_checked_before_any_draw():
+    # 1e12 BSs/m^2 put about 3e18 points in each field of a 1000 m disk
+    rng = np.random.default_rng(23)
+    state = rng.bit_generator.state
+    with pytest.raises(geometry.FieldBudgetError, match=r"\(3\.14e\+19 points\)"):
+        sample_interference_batch(1.0, 1e12, 1000.0, 4.0, 10, rng)
+    assert rng.bit_generator.state == state
+    assert issubclass(geometry.FieldBudgetError, ValueError)
+
+
+def test_given_fields_serve_the_leading_shared_band_packets():
+    # a field of infinite power jams exactly the packets it is given to
+    jammed = np.full(300, np.inf)
+    caps = sample_capacities(PARAMS, (ServiceMode.SHARED_ONLY,), 1000,
+                             np.random.default_rng(24), jammed)[ServiceMode.SHARED_ONLY]
+    assert np.all(caps[:300] == 0.0) and np.all(caps[300:] > 0.0)
+    fewer = sample_capacities(PARAMS, (ServiceMode.SHARED_ONLY,), 100,
+                              np.random.default_rng(24), jammed)[ServiceMode.SHARED_ONLY]
+    assert np.all(fewer == 0.0)
+
+
 def test_combined_never_slower_than_shared_on_common_field():
     # one call draws each band once, so combined adds the proprietary band to
     # the very shared-band field the shared mode sees
