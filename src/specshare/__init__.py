@@ -12,10 +12,8 @@ from .model import (
     ValidationError,
     dbm_to_watts,
     device_count,
-    emit_config,
     parse_config,
     validate,
-    watts_to_dbm,
     with_updates,
 )
 from .quadrature import (

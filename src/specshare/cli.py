@@ -16,9 +16,10 @@ forms are done, so it overlaps the closed forms of the next point. Every point d
 from its own random stream, derived from (master seed, point index), so
 output is byte-identical regardless of worker count; SPECSHARE_THREADS caps
 the worker pool. One queue run serves all of a point's modes, and a point
-draws its interferer fields once for its outage run and its queue run. A
-Monte Carlo run beyond the field budget (``geometry.MAX_FIELD_POINTS``) fails
-only its point's cells.
+draws its interferer fields once, in its outage run, which hands them to its
+queue run. A Monte Carlo run beyond the field budget
+(``geometry.MAX_FIELD_POINTS``) fails only the cells of its point that read
+the fields: the proprietary queue cells draw none and are still simulated.
 """
 
 from __future__ import annotations
@@ -168,27 +169,33 @@ def _monte_carlo_rows(spec: SweepSpec, index: int, value: float,
     """One row per (metric, mode) cell: its closed form with the Monte Carlo
     estimate the spec asks for, or nan and an error message. Takes what
     _closed_forms returns; one outage run and one queue run per point, and
-    neither for cells whose closed form failed. The interferer fields the
-    outage run draws are the queue run's first shared-band fields."""
+    neither for cells whose closed form failed. The outage run draws the
+    point's interferer fields whenever a computable cell reads them, an
+    outage cell or a shared-band queue cell, and the queue run's shared band
+    reads them first, so no queue cell depends on the metrics requested."""
     # one stream per point, for the outage Monte Carlo run and the queue run
     rng = lambda: np.random.default_rng([spec.seed, index])
     outage_mc, queue, fields = {}, {}, None
     valid = [m for m, outage in outages.items() if not isinstance(outage, str)]
-    if spec.trials > 0 and valid:
-        outage_rng = rng()
-        try:
-            fields = geometry.sample_interference_batch(
-                params.p_h, params.lambda_h, params.mc_radius, params.alpha,
-                spec.trials, outage_rng)
-            outage_mc = dict(zip(OUTAGE_METRICS, simulate.estimate_outage_mc(
-                params, spec.trials, outage_rng, fields)))
-        except ValueError as exc:  # a field beyond the Monte Carlo budget
-            outages = {**outages, **dict.fromkeys(valid, f"outage simulation: {exc}")}
     ready = tuple(m for m, report in reports.items() if not isinstance(report, str))
+    shared_band = [m for m in ready if m in _SHARED_BAND_MODES]
+    if spec.trials > 0 and (valid or (spec.packets > 0 and shared_band)):
+        try:
+            *estimates, fields = simulate.estimate_outage_mc(params, spec.trials, rng())
+            outage_mc = dict(zip(OUTAGE_METRICS, estimates))
+        except geometry.FieldBudgetError as exc:  # a field beyond the budget
+            outages = {**outages, **dict.fromkeys(valid, f"outage simulation: {exc}")}
     if spec.packets > 0 and ready:
         try:
             queue = simulate.run_mg1(params, ready, spec.packets, rng(), fields)
-        except ValueError as exc:  # no arrivals, or a field beyond the budget
+        except geometry.FieldBudgetError as exc:  # fails the shared band only
+            reports = {**reports,
+                       **dict.fromkeys(shared_band, f"queue simulation: {exc}")}
+            if ServiceMode.PROPRIETARY_ONLY in ready:
+                # run alone, the mode draws what it draws in a run of every mode
+                queue = simulate.run_mg1(params, (ServiceMode.PROPRIETARY_ONLY,),
+                                         spec.packets, rng())
+        except ValueError as exc:  # no arrivals
             reports = {**reports, **dict.fromkeys(ready, f"queue simulation: {exc}")}
 
     rows = []
@@ -227,7 +234,7 @@ def run_sweep(spec: SweepSpec, base: ScenarioParams) -> SweepTable:
     """Evaluate every grid point; failures become error rows, not aborts.
     Closed forms run on this thread, each point's Monte Carlo in the pool."""
     validate(base)
-    field, convert, _ = CONFIG_KEYS[SWEEP_VARIABLES[spec.variable]]
+    field, convert = CONFIG_KEYS[SWEEP_VARIABLES[spec.variable]]
     outage_metrics = [m for m in spec.metrics if m in OUTAGE_METRICS]
     modes = spec.modes if set(spec.metrics) & set(DELAY_METRICS) else ()
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:

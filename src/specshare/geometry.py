@@ -6,7 +6,8 @@ scenario distance and small-scale fading is unit-mean exponential on every
 link. Each sampled packet re-draws the whole field, so successive service
 delays are i.i.d. as the queueing analysis assumes, and draws each band once
 for every mode that uses it. The shared band can take its leading fields from
-a caller, so a sweep point's queue run reads the fields its outage run drew.
+a caller, so a sweep point's queue run reads the fields that its outage run,
+``simulate.estimate_outage_mc``, drew and handed back.
 A call whose expected PPP point count exceeds MAX_FIELD_POINTS raises
 FieldBudgetError before any draw. Fields are drawn in chunks of about
 _CHUNK_POINTS points, which fix the order of the random draws, and summed in
@@ -45,10 +46,10 @@ def sample_interference_batch(power: float, density: float, radius: float,
 
     Each chunk's points are worked through _PIECE_POINTS at a time, a field
     that straddles pieces adding up across them, so memory stays bounded at
-    any density. The gains are read from a copy of rng's bit generator moved
-    past the chunk's uniforms, which assumes one 64-bit output per uniform:
-    true of PCG64, the bit generator of every default_rng and spawned
-    Generator in this program.
+    any density. The uniforms are read from a copy of rng's bit generator,
+    and rng itself is moved past them to draw the gains, which assumes one
+    64-bit output per uniform: true of PCG64, the bit generator of every
+    default_rng and spawned Generator in this program.
     """
     mean_count = density * math.pi * radius * radius
     if n * mean_count > MAX_FIELD_POINTS:
@@ -66,28 +67,23 @@ def sample_interference_batch(power: float, density: float, radius: float,
         occupied = np.flatnonzero(counts)
         first_points = np.cumsum(counts[occupied]) - counts[occupied]
         total = int(counts.sum())
-        gain_rng = np.random.Generator(copy.deepcopy(rng.bit_generator))
-        gain_rng.bit_generator.advance(total)
+        uniform_rng = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        rng.bit_generator.advance(total)
         for lo in range(0, total, _PIECE_POINTS):
             k = min(_PIECE_POINTS, total - lo)
-            piece = rng.random(out=uniforms[:k])
+            piece = uniform_rng.random(out=uniforms[:k])
             np.sqrt(piece, out=piece)
             piece *= radius
             with np.errstate(divide="ignore"):
                 piece **= -alpha
             piece *= power
             # the draws of rng.exponential(size=k), written into gains
-            piece *= gain_rng.standard_exponential(out=gains[:k])
+            piece *= rng.standard_exponential(out=gains[:k])
             first = np.searchsorted(first_points, lo, side="right") - 1
             last = np.searchsorted(first_points, lo + k)
             offsets = first_points[first:last] - lo
             offsets[0] = 0
             out[start + occupied[first:last]] += np.add.reduceat(piece, offsets)
-        # move rng past the gains, keeping any buffered 32-bit half output
-        # of rng's own, which advance() cleared from the copy
-        state = rng.bit_generator.state
-        state["state"] = gain_rng.bit_generator.state["state"]
-        rng.bit_generator.state = state
     return out
 
 

@@ -41,13 +41,6 @@ def dbm_to_watts(p_dbm: float) -> float:
         raise ValueError(f"power of {p_dbm} dBm overflows in watts") from None
 
 
-def watts_to_dbm(p_w: float) -> float:
-    """Convert a power level from watts to dBm."""
-    if not (p_w > 0 and math.isfinite(p_w)):
-        raise ValueError(f"power in watts must be positive and finite, got {p_w}")
-    return 10.0 * math.log10(p_w) + 30.0
-
-
 def device_count(lambda_mu: float, workshop_area: float) -> int:
     """Map a device density to the number of served devices (at least one)."""
     devices = float(lambda_mu) * float(workshop_area)
@@ -165,33 +158,31 @@ def with_updates(params: ScenarioParams, **changes) -> ScenarioParams:
     return validate(replace(params, **changes))
 
 
-# Config key -> (field name, converter from the parsed float, its inverse).
-_DBM = (dbm_to_watts, watts_to_dbm)
-_PLAIN = (float, float)
-_COUNT = (lambda v: int(round(v)), int)
+# Config key -> (field name, converter from the parsed float).
+_COUNT = lambda v: int(round(v))
 CONFIG_KEYS: dict[str, tuple] = {
-    "P_h_dbm": ("p_h", *_DBM),
-    "P_m_dbm": ("p_m", *_DBM),
-    "P_m_shared_dbm": ("p_m_shared", *_DBM),
-    "P_max_dbm": ("p_max", *_DBM),
-    "x0_m": ("x0", *_PLAIN),
-    "y0_m": ("y0", *_PLAIN),
-    "B_h_hz": ("b_h", *_PLAIN),
-    "B_m_hz": ("b_m", *_PLAIN),
-    "N0_w_per_hz": ("noise_psd", *_PLAIN),
-    "alpha": ("alpha", *_PLAIN),
-    "U_m_bytes": ("u_m", lambda v: 8.0 * v, lambda v: v / 8.0),
-    "t_out_s": ("t_out", *_PLAIN),
-    "lambda_h_per_m2": ("lambda_h", *_PLAIN),
-    "lambda_md_per_s": ("lambda_md", *_PLAIN),
-    "lambda_mu_per_m2": ("lambda_mu", *_PLAIN),
-    "N_h": ("n_h", *_COUNT),
-    "N_m": ("n_m", *_COUNT),
-    "theta_h": ("theta_h", *_PLAIN),
-    "epsilon": ("epsilon", *_PLAIN),
-    "workshop_area_m2": ("workshop_area", *_PLAIN),
-    "mc_radius_m": ("mc_radius", *_PLAIN),
-    "seed": ("seed", *_COUNT),
+    "P_h_dbm": ("p_h", dbm_to_watts),
+    "P_m_dbm": ("p_m", dbm_to_watts),
+    "P_m_shared_dbm": ("p_m_shared", dbm_to_watts),
+    "P_max_dbm": ("p_max", dbm_to_watts),
+    "x0_m": ("x0", float),
+    "y0_m": ("y0", float),
+    "B_h_hz": ("b_h", float),
+    "B_m_hz": ("b_m", float),
+    "N0_w_per_hz": ("noise_psd", float),
+    "alpha": ("alpha", float),
+    "U_m_bytes": ("u_m", lambda v: 8.0 * v),
+    "t_out_s": ("t_out", float),
+    "lambda_h_per_m2": ("lambda_h", float),
+    "lambda_md_per_s": ("lambda_md", float),
+    "lambda_mu_per_m2": ("lambda_mu", float),
+    "N_h": ("n_h", _COUNT),
+    "N_m": ("n_m", _COUNT),
+    "theta_h": ("theta_h", float),
+    "epsilon": ("epsilon", float),
+    "workshop_area_m2": ("workshop_area", float),
+    "mc_radius_m": ("mc_radius", float),
+    "seed": ("seed", _COUNT),
 }
 
 
@@ -224,7 +215,7 @@ def parse_config(text: str) -> ScenarioParams:
         except ValueError:
             problems.append(f"line {lineno}: malformed number {value_text!r} for key {key!r}")
             continue
-        field_name, convert, _ = CONFIG_KEYS[key]
+        field_name, convert = CONFIG_KEYS[key]
         try:
             assigned[field_name] = convert(number)
         except (ValueError, OverflowError) as exc:
@@ -240,13 +231,3 @@ def parse_config(text: str) -> ScenarioParams:
     except ValueError as exc:  # the derived device count is not finite
         line = min(line_of[f] for f in ("lambda_mu", "workshop_area") if f in line_of)
         raise ConfigError(f"line {line}: {exc}") from None
-
-
-def emit_config(params: ScenarioParams) -> str:
-    """Render params as config text; parse_config inverts it bit-exactly."""
-    lines = []
-    for key, (field_name, _, inverse) in CONFIG_KEYS.items():
-        value = getattr(params, field_name)
-        if value is not None:
-            lines.append(f"{key} = {inverse(value)!r}")
-    return "\n".join(lines) + "\n"

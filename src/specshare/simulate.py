@@ -1,9 +1,9 @@
 """Monte Carlo oracles: outage estimation over interferer fields, the
 sup-norm distance of a sample to a closed-form CDF, and a deadline-truncated
 FCFS M/G/1 queue. Service-delay samples come from
-``geometry.sample_service_delays``. Both the outage estimator and the queue
-can take interferer fields drawn by their caller, so that a sweep point draws
-its field once for its outage run and its queue run.
+``geometry.sample_service_delays``. The outage estimator hands back the
+interferer fields it drew, and the queue can take them, so that a sweep point
+draws its fields once for its outage run and its queue run.
 
 These estimators share no code path with the closed forms in
 ``specshare.analytic``; agreement between the two is the package's core
@@ -54,23 +54,21 @@ class QueueStats:
     se_sojourn_variance: float  # s^2, standard error of sojourn_variance
 
 
-def estimate_outage_mc(params: ScenarioParams, n_trials: int, rng: np.random.Generator,
-                       interference: np.ndarray | None = None
-                       ) -> tuple[ProbEstimate, ProbEstimate]:
-    """Estimate licensed-user outage without and with sharing, in that order.
+def estimate_outage_mc(params: ScenarioParams, n_trials: int, rng: np.random.Generator
+                       ) -> tuple[ProbEstimate, ProbEstimate, np.ndarray]:
+    """Estimate licensed-user outage without and with sharing, in that order,
+    and return the n_trials interferer fields the trials drew.
 
-    Each trial draws the PPP field, the serving-link fading and the cross-link
-    fading once; both estimates are taken from those same trials, so the
-    sharing estimate never falls below the no-sharing one. interference, when
-    given, holds the n_trials fields, drawn from rng just before the call:
-    the fading draws then continue the same stream.
+    The trials' PPP fields, serving-link fading and cross-link fading are
+    drawn from rng in that order, once per trial; both estimates are taken
+    from those same trials, so the sharing estimate never falls below the
+    no-sharing one.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     p = params
-    if interference is None:
-        interference = geometry.sample_interference_batch(
-            p.p_h, p.lambda_h, p.mc_radius, p.alpha, n_trials, rng)
+    interference = geometry.sample_interference_batch(
+        p.p_h, p.lambda_h, p.mc_radius, p.alpha, n_trials, rng)
     h0 = rng.exponential(size=n_trials)
     g0 = rng.exponential(size=n_trials)
 
@@ -82,7 +80,7 @@ def estimate_outage_mc(params: ScenarioParams, n_trials: int, rng: np.random.Gen
         mean = int(np.count_nonzero(signal < p.theta_h * denominator)) / n_trials
         estimates.append(ProbEstimate(mean, math.sqrt(mean * (1.0 - mean) / n_trials),
                                       n_trials))
-    return tuple(estimates)
+    return (*estimates, interference)
 
 
 def ks_distance(samples, cdf) -> float:

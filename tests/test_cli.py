@@ -239,6 +239,20 @@ class TestRunSweep:
         assert len(outage_lines[0]) == 3 * 2
         assert outage_lines[0] == outage_lines[1]
 
+    def test_queue_cells_do_not_depend_on_the_outage_metrics(self, tmp_path):
+        # the outage run draws the fields the shared band reads, requested or not
+        spec = SweepSpec("P_h", 20.0, 30.0, 2,
+                         modes=(ServiceMode.SHARED_ONLY, ServiceMode.COMBINED),
+                         trials=500, packets=500)
+        queue_lines = []
+        for metrics in (cli.DELAY_METRICS, ("outage_no_sharing", *cli.DELAY_METRICS)):
+            out = tmp_path / "queue.csv"
+            emit_csv(run_sweep(dataclasses.replace(spec, metrics=metrics), PARAMS), out)
+            queue_lines.append([line for line in out.read_text().splitlines()
+                                if ",mean_delay," in line or ",jitter," in line])
+        assert len(queue_lines[0]) == 2 * 2 * 2
+        assert queue_lines[0] == queue_lines[1]
+
     def test_simulated_columns_carry_confidence_intervals(self):
         spec = SweepSpec("lambda_h", 1e-5, 1e-4, 2, metrics=("outage_sharing",),
                          trials=20_000, seed=5)
@@ -518,24 +532,47 @@ class TestMain:
         assert len(rows) == 2
         assert all(row.split(",")[4] == "nan" for row in rows)
 
-    def test_monte_carlo_beyond_the_field_budget_becomes_error_rows(self, tmp_path):
-        # each field at 1e12 BSs/m^2 holds about 3e18 points: the point must
-        # fail before drawing. A subprocess bounds the wait if it does not.
-        out = tmp_path / "budget.csv"
+    @staticmethod
+    def _sweep_in_subprocess(*args):
+        # a subprocess bounds the wait should a point draw beyond the budget
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run(
-            [sys.executable, "-m", "specshare.cli", "sweep", "--var", "lambda_h",
-             "--from", "1e-4", "--to", "1e12", "--steps", "2", "--trials", "10",
-             "--metric", "outage_no_sharing", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=30)
+        return subprocess.run([sys.executable, "-m", "specshare.cli", "sweep", *args],
+                              env=env, capture_output=True, text=True, timeout=30)
+
+    def test_monte_carlo_beyond_the_field_budget_becomes_error_rows(self, tmp_path):
+        # each field at 1e12 BSs/m^2 holds about 3e18 points: the point must
+        # fail before drawing
+        out = tmp_path / "budget.csv"
+        done = self._sweep_in_subprocess(
+            "--var", "lambda_h", "--from", "1e-4", "--to", "1e12", "--steps", "2",
+            "--trials", "10", "--metric", "outage_no_sharing", "--out", str(out))
         assert done.returncode == 1 and "Traceback" not in done.stderr
         assert ("error at lambda_h=1e+12 [outage_no_sharing]: outage simulation: "
                 "10 interferer fields of 3.14e+18 expected points each") in done.stderr
         valid, over = [row.split(",") for row in out.read_text().splitlines()[1:]]
         assert math.isfinite(float(valid[4])) and valid[5] != "" and valid[8] == "10"
         assert math.isnan(float(over[4])) and over[5] == "" and over[8] == "0"
+
+    def test_field_budget_fails_only_the_shared_band_queue_cells(self, tmp_path):
+        # the proprietary band draws no interferer field, so its queue cells
+        # are simulated at a density whose shared-band fields are over budget
+        out = tmp_path / "budget.csv"
+        done = self._sweep_in_subprocess(
+            "--var", "lambda_h", "--from", "1e-4", "--to", "1e12", "--steps", "2",
+            "--packets", "10", "--trials", "10", "--out", str(out))
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        over = [row.split(",") for row in out.read_text().splitlines()[1:]
+                if row.startswith("lambda_h,1000000000000.0,")
+                and row.split(",")[2] in cli.DELAY_METRICS]
+        assert {row[3]: row[8] for row in over} == {
+            "shared": "0", "proprietary": "9", "combined": "0"}
+        for row in over:
+            assert (row[3] == "proprietary") == all(
+                math.isfinite(float(cell)) for cell in row[4:8])
+        assert "[mean_delay/proprietary]" not in done.stderr
+        assert "[mean_delay/combined]: queue simulation: 10 interferer fields" in done.stderr
 
     def test_eval_reports_quadrature_failure(self, tmp_path, capsys):
         config = tmp_path / "step.cfg"

@@ -1,7 +1,6 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from specshare.model import (
     ConfigError,
@@ -10,10 +9,8 @@ from specshare.model import (
     ValidationError,
     dbm_to_watts,
     device_count,
-    emit_config,
     parse_config,
     validate,
-    watts_to_dbm,
     with_updates,
 )
 
@@ -24,16 +21,9 @@ def test_dbm_to_watts_definition():
     assert dbm_to_watts(24.0) == pytest.approx(0.251188643150958, rel=1e-12)
 
 
-@given(st.floats(min_value=1e-6, max_value=1e3))
-def test_dbm_round_trip(watts):
-    assert dbm_to_watts(watts_to_dbm(watts)) == pytest.approx(watts, rel=1e-12)
-
-
 def test_dbm_rejects_nonfinite():
     with pytest.raises(ValueError):
         dbm_to_watts(math.inf)
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
 
 
 def test_defaults_match_reference_setting():
@@ -130,13 +120,6 @@ def test_validate_rejects_negative_seed():
     assert validate(ScenarioParams(seed=0)).seed == 0
 
 
-def test_emit_parse_round_trip_is_bit_exact():
-    defaults = validate(ScenarioParams())
-    assert parse_config(emit_config(defaults)) == defaults
-    custom = with_updates(defaults, lambda_h=3.7e-5, epsilon=0.02, n_m=37)
-    assert parse_config(emit_config(custom)) == custom
-
-
 def test_with_updates_rederives_device_count():
     base = validate(ScenarioParams())
     assert with_updates(base, lambda_mu=0.02).n_m == 200
@@ -159,7 +142,6 @@ def test_with_updates_normalizes_numpy_scalars():
     base = validate(ScenarioParams())
     updated = with_updates(base, lambda_md=np.float64(50.0), n_m=np.int64(7))
     assert type(updated.lambda_md) is float and type(updated.n_m) is int
-    assert parse_config(emit_config(updated)) == updated
 
 
 def test_service_mode_members():
