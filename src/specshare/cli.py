@@ -12,19 +12,22 @@ request. Each grid point splits in two halves. Its closed forms run on the
 calling thread, point after point, so ``specshare.analytic`` and its moment
 cache are only ever used from one thread. Its Monte Carlo half (the outage
 run, the queue run and the rows) goes to a worker pool as soon as its closed
-forms are done, so it overlaps the closed forms of the next point. Every point draws
-from its own random stream, derived from (master seed, point index), so
-output is byte-identical regardless of worker count; SPECSHARE_THREADS caps
-the worker pool. One queue run serves all of a point's modes, and a point
-draws its interferer fields once, in its outage run, which hands them to its
-queue run. A Monte Carlo run beyond the field budget
-(``geometry.MAX_FIELD_POINTS``) fails only the cells of its point that read
-the fields: the proprietary queue cells draw none and are still simulated.
+forms are done, so it overlaps the closed forms of the next point. A sweep
+draws its outage trials once, on the calling thread before each point's
+closed forms (``simulate.draw_outage_trials``), and each point scales their
+unit-power fields by its P_h. Streams are children of SeedSequence(seed),
+child 0 the sweep's draw and child 1 + i point i's queue run, so output is
+byte-identical regardless of worker count; SPECSHARE_THREADS caps the worker
+pool. A point's one queue run serves all its modes, its shared band reading
+the outage fields first. Fields beyond the budget (``geometry.MAX_FIELD_POINTS``)
+fail only the cells of their point that read them: the proprietary queue
+cells draw none and are still simulated.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -165,23 +168,26 @@ def _closed_forms(params: ScenarioParams, outage_metrics,
 
 def _monte_carlo_rows(spec: SweepSpec, index: int, value: float,
                       params: ScenarioParams | None, outages: dict,
-                      reports: dict) -> list[SweepRow]:
+                      reports: dict, draws=None) -> list[SweepRow]:
     """One row per (metric, mode) cell: its closed form with the Monte Carlo
     estimate the spec asks for, or nan and an error message. Takes what
-    _closed_forms returns; one outage run and one queue run per point, and
-    neither for cells whose closed form failed. The outage run draws the
-    point's interferer fields whenever a computable cell reads them, an
-    outage cell or a shared-band queue cell, and the queue run's shared band
-    reads them first, so no queue cell depends on the metrics requested."""
-    # one stream per point, for the outage Monte Carlo run and the queue run
-    rng = lambda: np.random.default_rng([spec.seed, index])
+    _closed_forms returns and draws, the sweep's outage trials at this point
+    (simulate.draw_outage_trials), else None: the outage run then draws its
+    own, which over the field budget raises before any draw. One outage run
+    and one queue run per point, and neither for cells whose closed form
+    failed; the queue run's shared band reads the outage run's fields first,
+    so no queue cell depends on the metrics requested."""
+    # child 1 + index of SeedSequence(seed).spawn, fresh: the spawn counter at 0
+    rng = lambda: np.random.default_rng(np.random.SeedSequence(
+        spec.seed, spawn_key=(1 + index,)))
     outage_mc, queue, fields = {}, {}, None
     valid = [m for m, outage in outages.items() if not isinstance(outage, str)]
     ready = tuple(m for m, report in reports.items() if not isinstance(report, str))
     shared_band = [m for m in ready if m in _SHARED_BAND_MODES]
     if spec.trials > 0 and (valid or (spec.packets > 0 and shared_band)):
         try:
-            *estimates, fields = simulate.estimate_outage_mc(params, spec.trials, rng())
+            *estimates, fields = simulate.estimate_outage_mc(params, spec.trials, rng(),
+                                                             draws)
             outage_mc = dict(zip(OUTAGE_METRICS, estimates))
         except geometry.FieldBudgetError as exc:  # a field beyond the budget
             outages = {**outages, **dict.fromkeys(valid, f"outage simulation: {exc}")}
@@ -231,22 +237,34 @@ def _worker_count() -> int:
 
 
 def run_sweep(spec: SweepSpec, base: ScenarioParams) -> SweepTable:
-    """Evaluate every grid point; failures become error rows, not aborts.
-    Closed forms run on this thread, each point's Monte Carlo in the pool."""
+    """Evaluate every grid point; failures become error rows, not aborts. The
+    outage draw and closed forms run on this thread, Monte Carlo in the pool."""
     validate(base)
     field, convert = CONFIG_KEYS[SWEEP_VARIABLES[spec.variable]]
     outage_metrics = [m for m in spec.metrics if m in OUTAGE_METRICS]
     modes = spec.modes if set(spec.metrics) & set(DELAY_METRICS) else ()
+    # drawn when a cell reads the fields: an outage cell or a shared-band queue cell
+    reads_fields = spec.trials > 0 and bool(
+        outage_metrics or (spec.packets > 0 and set(modes) & set(_SHARED_BAND_MODES)))
+    # child 0 of SeedSequence(seed).spawn: the sweep's outage trials
+    sweep_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
+    draws = None
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         futures = []
         for index, value in enumerate(spec.grid()):
+            point_draws = None
             try:
-                point = _closed_forms(with_updates(base, **{field: convert(value)}),
-                                      outage_metrics, modes)
+                params = with_updates(base, **{field: convert(value)})
+                if reads_fields:  # over budget: the outage run raises it, drawing nothing
+                    with contextlib.suppress(geometry.FieldBudgetError):
+                        point_draws = draws = simulate.draw_outage_trials(
+                            params, spec.trials, sweep_rng, draws)
+                point = _closed_forms(params, outage_metrics, modes)
             except (ValidationError, ValueError) as exc:  # an invalid point scenario
                 point = (None, dict.fromkeys(outage_metrics, str(exc)),
                          dict.fromkeys(modes, str(exc)))
-            futures.append(pool.submit(_monte_carlo_rows, spec, index, value, *point))
+            futures.append(pool.submit(_monte_carlo_rows, spec, index, value, *point,
+                                       point_draws))
         rows = [row for future in futures for row in future.result()]
     return SweepTable(spec, base, tuple(rows))
 

@@ -6,8 +6,9 @@ scenario distance and small-scale fading is unit-mean exponential on every
 link. Each sampled packet re-draws the whole field, so successive service
 delays are i.i.d. as the queueing analysis assumes, and draws each band once
 for every mode that uses it. The shared band can take its leading fields from
-a caller, so a sweep point's queue run reads the fields that its outage run,
-``simulate.estimate_outage_mc``, drew and handed back.
+a caller, so a sweep point's queue run reads the fields of its outage run.
+A field is summed at unit power and scaled by its power at the end, so a field
+at power P is bitwise P times the unit-power field of the same draws.
 A call whose expected PPP point count exceeds MAX_FIELD_POINTS raises
 FieldBudgetError before any draw. Fields are drawn in chunks of about
 _CHUNK_POINTS points, which fix the order of the random draws, and summed in
@@ -39,6 +40,18 @@ class FieldBudgetError(ValueError):
     """A field draw whose expected point count exceeds MAX_FIELD_POINTS."""
 
 
+def check_field_budget(n: int, density: float, radius: float) -> float:
+    """The expected PPP point count of one field; raises FieldBudgetError when
+    n fields of it exceed MAX_FIELD_POINTS."""
+    mean_count = density * math.pi * radius * radius
+    if n * mean_count > MAX_FIELD_POINTS:
+        raise FieldBudgetError(
+            f"{n} interferer fields of {mean_count:.3g} expected points each "
+            f"({n * mean_count:.3g} points) exceed the Monte Carlo budget of "
+            f"{MAX_FIELD_POINTS:.3g} points")
+    return mean_count
+
+
 def sample_interference_batch(power: float, density: float, radius: float,
                               alpha: float, n: int,
                               rng: np.random.Generator) -> np.ndarray:
@@ -51,12 +64,7 @@ def sample_interference_batch(power: float, density: float, radius: float,
     64-bit output per uniform: true of PCG64, the bit generator of every
     default_rng and spawned Generator in this program.
     """
-    mean_count = density * math.pi * radius * radius
-    if n * mean_count > MAX_FIELD_POINTS:
-        raise FieldBudgetError(
-            f"{n} interferer fields of {mean_count:.3g} expected points each "
-            f"({n * mean_count:.3g} points) exceed the Monte Carlo budget of "
-            f"{MAX_FIELD_POINTS:.3g} points")
+    mean_count = check_field_budget(n, density, radius)
     per_chunk = max(1, int(_CHUNK_POINTS / max(mean_count, 1.0)))
     out = np.zeros(n)
     uniforms = np.empty(_PIECE_POINTS)
@@ -76,7 +84,6 @@ def sample_interference_batch(power: float, density: float, radius: float,
             piece *= radius
             with np.errstate(divide="ignore"):
                 piece **= -alpha
-            piece *= power
             # the draws of rng.exponential(size=k), written into gains
             piece *= rng.standard_exponential(out=gains[:k])
             first = np.searchsorted(first_points, lo, side="right") - 1
@@ -84,6 +91,7 @@ def sample_interference_batch(power: float, density: float, radius: float,
             offsets = first_points[first:last] - lo
             offsets[0] = 0
             out[start + occupied[first:last]] += np.add.reduceat(piece, offsets)
+    out *= power
     return out
 
 

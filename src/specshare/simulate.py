@@ -1,9 +1,9 @@
 """Monte Carlo oracles: outage estimation over interferer fields, the
 sup-norm distance of a sample to a closed-form CDF, and a deadline-truncated
 FCFS M/G/1 queue. Service-delay samples come from
-``geometry.sample_service_delays``. The outage estimator hands back the
-interferer fields it drew, and the queue can take them, so that a sweep point
-draws its fields once for its outage run and its queue run.
+``geometry.sample_service_delays``. The outage estimator draws its trials
+or takes a sweep's common draw of them, and hands back their interferer
+fields, which the queue can take: a sweep point's runs read one field draw.
 
 These estimators share no code path with the closed forms in
 ``specshare.analytic``; agreement between the two is the package's core
@@ -54,33 +54,51 @@ class QueueStats:
     se_sojourn_variance: float  # s^2, standard error of sojourn_variance
 
 
-def estimate_outage_mc(params: ScenarioParams, n_trials: int, rng: np.random.Generator
+def draw_outage_trials(params: ScenarioParams, n_trials: int, rng: np.random.Generator,
+                       drawn: tuple | None = None) -> tuple:
+    """n_trials outage trials at the scenario's density: (unit-power PPP
+    fields, serving-link fading h0, cross-link fading g0, the density), drawn
+    from rng in that order. Trials drawn at a lower density are topped up
+    with an independent field of the density added (PPP superposition);
+    FieldBudgetError, before any draw, when the scenario's is over budget."""
+    p = params
+    if drawn is None:
+        unit = geometry.sample_interference_batch(1.0, p.lambda_h, p.mc_radius, p.alpha,
+                                                  n_trials, rng)
+        return unit, rng.exponential(size=n_trials), rng.exponential(size=n_trials), p.lambda_h
+    unit, h0, g0, density = drawn
+    geometry.check_field_budget(n_trials, p.lambda_h, p.mc_radius)
+    if p.lambda_h > density:
+        unit = unit + geometry.sample_interference_batch(
+            1.0, p.lambda_h - density, p.mc_radius, p.alpha, n_trials, rng)
+    return unit, h0, g0, max(density, p.lambda_h)
+
+
+def estimate_outage_mc(params: ScenarioParams, n_trials: int,
+                       rng: np.random.Generator | None, draws: tuple | None = None
                        ) -> tuple[ProbEstimate, ProbEstimate, np.ndarray]:
     """Estimate licensed-user outage without and with sharing, in that order,
-    and return the n_trials interferer fields the trials drew.
+    from draws (a sweep's trials at this density) or draw_outage_trials(params,
+    n_trials, rng), and return the trials' interferer fields at power p_h.
 
-    The trials' PPP fields, serving-link fading and cross-link fading are
-    drawn from rng in that order, once per trial; both estimates are taken
-    from those same trials, so the sharing estimate never falls below the
-    no-sharing one.
+    Both estimates read the same trials, so sharing never falls below no
+    sharing. Outage is h0 x0^-alpha < theta (I1 + N/P_h [+ P_ms y0^-alpha
+    g0/P_h]), I1 the unit-power field: on common trials the estimates move
+    monotonically with P_h and the density, rounding included.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     p = params
-    interference = geometry.sample_interference_batch(
-        p.p_h, p.lambda_h, p.mc_radius, p.alpha, n_trials, rng)
-    h0 = rng.exponential(size=n_trials)
-    g0 = rng.exponential(size=n_trials)
-
-    signal = p.p_h * p.x0 ** (-p.alpha) * h0
-    no_sharing = interference + p.noise_psd * p.b_h / p.n_h
-    sharing = no_sharing + p.p_m_shared * p.y0 ** (-p.alpha) * g0
+    unit, h0, g0, _ = draw_outage_trials(p, n_trials, rng) if draws is None else draws
+    gain = p.x0 ** (-p.alpha) * h0
+    no_sharing = unit + p.noise_psd * p.b_h / p.n_h / p.p_h
+    sharing = no_sharing + p.p_m_shared * p.y0 ** (-p.alpha) / p.p_h * g0
     estimates = []
     for denominator in (no_sharing, sharing):
-        mean = int(np.count_nonzero(signal < p.theta_h * denominator)) / n_trials
+        mean = int(np.count_nonzero(gain < p.theta_h * denominator)) / n_trials
         estimates.append(ProbEstimate(mean, math.sqrt(mean * (1.0 - mean) / n_trials),
                                       n_trials))
-    return (*estimates, interference)
+    return (*estimates, p.p_h * unit)
 
 
 def ks_distance(samples, cdf) -> float:

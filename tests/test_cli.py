@@ -181,6 +181,33 @@ class TestRunSweep:
         assert seed0[1] != seed1[0] and seed0[0] != seed1[1]
         assert simulated(0) == seed0
 
+    def test_point_streams_do_not_collide_across_wide_seeds(self):
+        # a seed is one entropy value, however many 32-bit words it spans: the
+        # point streams of seed 2**32 are not those of seed 0
+        def simulated(seed):
+            spec = SweepSpec("epsilon", 0.02, 0.03, 2, metrics=("mean_delay",),
+                             modes=(ServiceMode.PROPRIETARY_ONLY,), packets=2000,
+                             seed=seed)
+            return [row.sim_mean for row in run_sweep(spec, PARAMS).rows]
+
+        wide, seed0 = simulated(2 ** 32), simulated(0)
+        assert wide[0] != seed0[1] and wide[1] != seed0[0]
+
+    @pytest.mark.parametrize("spec, direction", [
+        (SweepSpec("P_h", 20.0, 30.0, 10, metrics=cli.OUTAGE_METRICS, trials=30_000,
+                   seed=17), -1),
+        (SweepSpec("lambda_h", 1e-5, 1e-4, 10, metrics=cli.OUTAGE_METRICS,
+                   trials=30_000, seed=17), 1),
+    ], ids=["P_h", "lambda_h"])
+    def test_outage_estimates_are_monotone_on_the_sweeps_common_trials(self, spec,
+                                                                       direction):
+        # every point reads the sweep's trials: a higher P_h only lowers the
+        # noise term of each trial, a higher density only adds interferers
+        table = run_sweep(spec, PARAMS)
+        for metric in cli.OUTAGE_METRICS:
+            means = [row.sim_mean for row in table.series(metric)]
+            assert all(direction * (b - a) >= 0 for a, b in zip(means, means[1:])), means
+
     def test_outage_estimates_share_one_stream_per_point(self):
         # paired trials: sharing only adds interference, so its estimate can
         # never fall below the no-sharing estimate of the same point
@@ -228,6 +255,24 @@ class TestRunSweep:
         assert not table.errors
         assert len([args for args in calls if args[4] > 0]) == 2
 
+    def test_one_outage_draw_per_power_sweep(self, monkeypatch):
+        # the field is linear in P_h: every point scales the sweep's unit field
+        calls = self._count_fields(monkeypatch)
+        spec = SweepSpec("P_h", 20.0, 30.0, 4, trials=1000, packets=1000, seed=3)
+        table = run_sweep(spec, PARAMS)
+        assert not table.errors
+        assert len(calls) == 1
+
+    def test_density_sweep_draws_each_density_increment_once(self, monkeypatch):
+        # each point adds an independent field of the density it adds
+        calls = self._count_fields(monkeypatch)
+        spec = SweepSpec("lambda_h", 1e-5, 1e-4, 4, metrics=cli.OUTAGE_METRICS,
+                         trials=1000, seed=3)
+        table = run_sweep(spec, PARAMS)
+        assert not table.errors
+        assert len(calls) == 4
+        assert sum(args[1] for args in calls) == pytest.approx(1e-4, rel=1e-12)
+
     def test_outage_cells_do_not_depend_on_packets(self, tmp_path):
         spec = SweepSpec("P_h", 20.0, 30.0, 3, trials=3000, seed=13)
         outage_lines = []
@@ -262,6 +307,15 @@ class TestRunSweep:
             assert row.n_samples == 20_000
 
     def test_coverage_of_confidence_intervals(self):
+        """False-alarm rate with no defect: about 18%, from a seed sweep (this
+        spec at seeds 1-60 failed at 11; seed 17 covers 20 of 20).
+
+        The rows of one sweep read common outage trials, so they are
+        correlated and their misses come together (one seed covered 3 of 20);
+        the binomial rate for 20 independent honest 95% intervals,
+        P(>= 2 misses) = 26%, holds only for independent rows. With one
+        independent draw per point the same spec failed at 13 of seeds 1-60.
+        """
         # the analytic value should fall inside the 95% CI for >= 95% of rows
         spec = SweepSpec("lambda_h", 1e-5, 5e-4, 10, metrics=cli.OUTAGE_METRICS,
                          trials=30_000, seed=17)
