@@ -59,8 +59,8 @@ def draw_outage_trials(params: ScenarioParams, n_trials: int, rng: np.random.Gen
     """n_trials outage trials at the scenario's density: (unit-power PPP
     fields, serving-link fading h0, cross-link fading g0, the density), drawn
     from rng in that order. Trials drawn at a lower density are topped up
-    with an independent field of the density added (PPP superposition);
-    FieldBudgetError, before any draw, when the scenario's is over budget."""
+    with an independent field of the density added (PPP superposition).
+    Raises FieldBudgetError before any draw when the density is over budget."""
     p = params
     if drawn is None:
         unit = geometry.sample_interference_batch(1.0, p.lambda_h, p.mc_radius, p.alpha,
@@ -75,7 +75,7 @@ def draw_outage_trials(params: ScenarioParams, n_trials: int, rng: np.random.Gen
 
 
 def estimate_outage_mc(params: ScenarioParams, n_trials: int,
-                       rng: np.random.Generator | None, draws: tuple | None = None
+                       rng: np.random.Generator, draws: tuple | None = None
                        ) -> tuple[ProbEstimate, ProbEstimate, np.ndarray]:
     """Estimate licensed-user outage without and with sharing, in that order,
     from draws (a sweep's trials at this density) or draw_outage_trials(params,
