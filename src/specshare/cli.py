@@ -3,31 +3,29 @@ output, and the entry points of the trend checks and the verify suite, which
 live in ``specshare.verify``.
 
 Sweep grids are linear in the swept variable, except transmit powers which
-sweep linearly in dBm (the value column then holds dBm). Every scenario, be
-it a grid point or the one `eval` reports on, goes through one evaluator,
+sweep linearly in dBm (the value column then holds dBm). Every scenario, be it
+a grid point or the one `eval` reports on, goes through one evaluator,
 ``_closed_forms``: it is resolved once (the outage tolerance caps its
 shared-band power), then only its requested cells are computed, so `eval`
 prints, and sets its exit status from, only the cells --metric and --mode
-request. Each grid point splits in two halves. Its closed forms run on the
-calling thread, point after point, so ``specshare.analytic`` and its moment
-cache are only ever used from one thread. Its Monte Carlo half (the outage
-run, the queue run and the rows) goes to a worker pool as soon as its closed
-forms are done, so it overlaps the closed forms of the next point. A sweep
-draws its outage trials once, on the calling thread before each point's
-closed forms (``simulate.draw_outage_trials``), and each point scales their
-unit-power fields by its P_h. Streams are children of SeedSequence(seed),
-child 0 the sweep's draw and child 1 + i point i's queue run, so output is
-byte-identical regardless of worker count; SPECSHARE_THREADS caps the worker
-pool. A point's one queue run serves all its modes, its shared band reading
-the outage fields first. Fields beyond the budget (``geometry.MAX_FIELD_POINTS``)
-fail only the cells of their point that read them: the proprietary queue
-cells draw none and are still simulated.
+request. Each grid point splits in two halves. Its closed forms and its
+interferer fields are computed on the calling thread, in grid order, so
+``specshare.analytic`` and its moment cache are only ever used from one
+thread. Its Monte Carlo half (the outage estimate, the queue run and the rows)
+draws no field and goes to a worker pool as soon as its closed forms are done,
+so it overlaps the closed forms of the next point. A sweep draws its fields
+once (``simulate.draw_outage_trials``), and each point scales the unit-power
+fields by its P_h: the outage trials from child 0 of SeedSequence(seed), and
+the queue's fields beyond them (--packets above --trials) from child 0's first
+child. Child 1 + i drives point i's queue run, so output is byte-identical
+regardless of worker count; SPECSHARE_THREADS caps the worker pool. A draw
+beyond the budget (``geometry.MAX_FIELD_POINTS``) fails only the cells of its
+point that read it: the proprietary queue cells read none and are simulated.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -168,39 +166,35 @@ def _closed_forms(params: ScenarioParams, outage_metrics,
 
 def _monte_carlo_rows(spec: SweepSpec, index: int, value: float,
                       params: ScenarioParams | None, outages: dict,
-                      reports: dict, draws=None) -> list[SweepRow]:
+                      reports: dict, draws: tuple = (None, None)) -> list[SweepRow]:
     """One row per (metric, mode) cell: its closed form with the Monte Carlo
     estimate the spec asks for, or nan and an error message. Takes what
-    _closed_forms returns and draws, the sweep's outage trials at this point
-    (simulate.draw_outage_trials), else None: the outage run then draws its
-    own, which over the field budget raises before any draw. One outage run
-    and one queue run per point, and neither for cells whose closed form
-    failed; the queue run's shared band reads the outage run's fields first,
-    so no queue cell depends on the metrics requested."""
-    # child 1 + index of SeedSequence(seed).spawn, fresh: the spawn counter at 0
-    rng = lambda: np.random.default_rng(np.random.SeedSequence(
-        spec.seed, spawn_key=(1 + index,)))
+    _closed_forms returns and draws: the point's outage trials and the queue's
+    fields beyond them, each a draw_outage_trials result, its FieldBudgetError
+    or None. One outage run and one queue run per point, neither drawing a
+    field, and neither for cells whose closed form failed."""
     outage_mc, queue, fields = {}, {}, None
+    trials = draws[0]
+    over = [draw for draw in draws if isinstance(draw, geometry.FieldBudgetError)]
     valid = [m for m, outage in outages.items() if not isinstance(outage, str)]
     ready = tuple(m for m, report in reports.items() if not isinstance(report, str))
     shared_band = [m for m in ready if m in _SHARED_BAND_MODES]
-    if spec.trials > 0 and (valid or (spec.packets > 0 and shared_band)):
-        try:
-            *estimates, fields = simulate.estimate_outage_mc(params, spec.trials, rng(),
-                                                             draws)
-            outage_mc = dict(zip(OUTAGE_METRICS, estimates))
-        except geometry.FieldBudgetError as exc:  # a field beyond the budget
-            outages = {**outages, **dict.fromkeys(valid, f"outage simulation: {exc}")}
+    if isinstance(trials, geometry.FieldBudgetError):
+        outages = {**outages, **dict.fromkeys(valid, f"outage simulation: {trials}")}
+    elif trials is not None and valid:
+        outage_mc = dict(zip(OUTAGE_METRICS, simulate.estimate_outage_mc(
+            params, spec.trials, None, trials)))
+    if spec.packets > 0 and over:  # fails the shared band only: it alone reads fields
+        reports = {**reports, **dict.fromkeys(shared_band, f"queue simulation: {over[0]}")}
+        ready = tuple(m for m in ready if m not in shared_band)
+    elif spec.packets > 0 and shared_band:  # the leading outage fields, then the rest
+        fields = params.p_h * np.concatenate(
+            [draw[0] for draw in draws if draw is not None])[:spec.packets]
     if spec.packets > 0 and ready:
         try:
-            queue = simulate.run_mg1(params, ready, spec.packets, rng(), fields)
-        except geometry.FieldBudgetError as exc:  # fails the shared band only
-            reports = {**reports,
-                       **dict.fromkeys(shared_band, f"queue simulation: {exc}")}
-            if ServiceMode.PROPRIETARY_ONLY in ready:
-                # run alone, the mode draws what it draws in a run of every mode
-                queue = simulate.run_mg1(params, (ServiceMode.PROPRIETARY_ONLY,),
-                                         spec.packets, rng())
+            # child 1 + index of SeedSequence(seed).spawn
+            queue = simulate.run_mg1(params, ready, spec.packets, np.random.default_rng(
+                np.random.SeedSequence(spec.seed, spawn_key=(1 + index,))), fields)
         except ValueError as exc:  # no arrivals
             reports = {**reports, **dict.fromkeys(ready, f"queue simulation: {exc}")}
 
@@ -238,33 +232,39 @@ def _worker_count() -> int:
 
 def run_sweep(spec: SweepSpec, base: ScenarioParams) -> SweepTable:
     """Evaluate every grid point; failures become error rows, not aborts. The
-    outage draw and closed forms run on this thread, Monte Carlo in the pool."""
+    field draws and closed forms run on this thread, Monte Carlo in the pool."""
     validate(base)
     field, convert = CONFIG_KEYS[SWEEP_VARIABLES[spec.variable]]
     outage_metrics = [m for m in spec.metrics if m in OUTAGE_METRICS]
     modes = spec.modes if set(spec.metrics) & set(DELAY_METRICS) else ()
-    # drawn when a cell reads the fields: an outage cell or a shared-band queue cell
-    reads_fields = spec.trials > 0 and bool(
-        outage_metrics or (spec.packets > 0 and set(modes) & set(_SHARED_BAND_MODES)))
-    # child 0 of SeedSequence(seed).spawn: the sweep's outage trials
+    # fields the queue's shared band reads, when a shared or combined queue cell is requested
+    queue_fields = spec.packets if set(modes) & set(_SHARED_BAND_MODES) else 0
+    # child 0 of SeedSequence(seed).spawn: the outage trials, drawn when an outage
+    # cell or the queue reads them; its first child, spawned before any draw: the
+    # queue's fields beyond them
     sweep_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
-    draws = None
+    streams = ((spec.trials if outage_metrics or queue_fields else 0, sweep_rng),
+               (max(queue_fields - spec.trials, 0), sweep_rng.spawn(1)[0]))
+    drawn = [None, None]
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         futures = []
         for index, value in enumerate(spec.grid()):
-            point_draws = None
+            point_draws = [None, None]
             try:
                 params = with_updates(base, **{field: convert(value)})
-                if reads_fields:  # over budget: the outage run raises it, drawing nothing
-                    with contextlib.suppress(geometry.FieldBudgetError):
-                        point_draws = draws = simulate.draw_outage_trials(
-                            params, spec.trials, sweep_rng, draws)
+                for k, (count, rng) in enumerate(streams):
+                    if count > 0:  # over budget: raises before any draw
+                        try:
+                            point_draws[k] = drawn[k] = simulate.draw_outage_trials(
+                                params, count, rng, drawn[k])
+                        except geometry.FieldBudgetError as exc:
+                            point_draws[k] = exc
                 point = _closed_forms(params, outage_metrics, modes)
             except (ValidationError, ValueError) as exc:  # an invalid point scenario
                 point = (None, dict.fromkeys(outage_metrics, str(exc)),
                          dict.fromkeys(modes, str(exc)))
             futures.append(pool.submit(_monte_carlo_rows, spec, index, value, *point,
-                                       point_draws))
+                                       tuple(point_draws)))
         rows = [row for future in futures for row in future.result()]
     return SweepTable(spec, base, tuple(rows))
 

@@ -5,8 +5,8 @@ around the typical receiver; the serving base station sits at its fixed
 scenario distance and small-scale fading is unit-mean exponential on every
 link. Each sampled packet re-draws the whole field, so successive service
 delays are i.i.d. as the queueing analysis assumes, and draws each band once
-for every mode that uses it. The shared band can take its leading fields from
-a caller, so a sweep point's queue run reads the fields of its outage run.
+for every mode that uses it. The shared band reads its fields from a caller
+when given them, so a sweep point's queue run reads fields the sweep drew.
 A field is summed at unit power and scaled by its power at the end, so a field
 at power P is bitwise P times the unit-power field of the same draws.
 A call whose expected PPP point count exceeds MAX_FIELD_POINTS raises
@@ -103,10 +103,10 @@ def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n:
     shared band from rng.spawn(1)[0], combined their sum. So the modes share
     link states packet by packet, and no mode's draws depend on the others.
 
-    The shared band's first packets take their fields from interference, an
-    array of fields drawn with this scenario's law (a sweep point passes its
-    outage run's); only the packets beyond it draw their own, and none do
-    when it covers all n.
+    The shared band reads its n fields from interference, an array of at
+    least n fields drawn with this scenario's law (a sweep passes the fields
+    it drew), and raises ValueError when given fewer; with none given it
+    draws its own n.
     """
     p = params
     bands = {}
@@ -117,10 +117,10 @@ def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n:
         bands[ServiceMode.PROPRIETARY_ONLY] = p.b_m * np.log2(1.0 + snr)
     if any(mode is not ServiceMode.PROPRIETARY_ONLY for mode in modes):
         shared_rng = rng.spawn(1)[0]
-        fields = np.empty(0) if interference is None else interference[:n]
+        fields = interference[:n] if interference is not None else sample_interference_batch(
+            p.p_h, p.lambda_h, p.mc_radius, p.alpha, n, shared_rng)
         if fields.size < n:
-            fields = np.concatenate((fields, sample_interference_batch(
-                p.p_h, p.lambda_h, p.mc_radius, p.alpha, n - fields.size, shared_rng)))
+            raise ValueError(f"{fields.size} interferer fields given for {n} packets")
         k0 = shared_rng.exponential(size=n)
         sinr = p.p_m_shared * p.y0 ** (-p.alpha) * k0 \
             / (fields + p.noise_psd * p.b_h / p.n_m)

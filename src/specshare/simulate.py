@@ -2,8 +2,8 @@
 sup-norm distance of a sample to a closed-form CDF, and a deadline-truncated
 FCFS M/G/1 queue. Service-delay samples come from
 ``geometry.sample_service_delays``. The outage estimator draws its trials
-or takes a sweep's common draw of them, and hands back their interferer
-fields, which the queue can take: a sweep point's runs read one field draw.
+or takes a sweep's common draw of them; a sweep draws every field its queue
+runs read with ``draw_outage_trials`` too, so its point runs draw no field.
 
 These estimators share no code path with the closed forms in
 ``specshare.analytic``; agreement between the two is the package's core
@@ -75,11 +75,11 @@ def draw_outage_trials(params: ScenarioParams, n_trials: int, rng: np.random.Gen
 
 
 def estimate_outage_mc(params: ScenarioParams, n_trials: int,
-                       rng: np.random.Generator, draws: tuple | None = None
-                       ) -> tuple[ProbEstimate, ProbEstimate, np.ndarray]:
+                       rng: np.random.Generator | None, draws: tuple | None = None
+                       ) -> tuple[ProbEstimate, ProbEstimate]:
     """Estimate licensed-user outage without and with sharing, in that order,
-    from draws (a sweep's trials at this density) or draw_outage_trials(params,
-    n_trials, rng), and return the trials' interferer fields at power p_h.
+    from draws (a sweep's trials at this density; rng is then unused) or
+    draw_outage_trials(params, n_trials, rng).
 
     Both estimates read the same trials, so sharing never falls below no
     sharing. Outage is h0 x0^-alpha < theta (I1 + N/P_h [+ P_ms y0^-alpha
@@ -98,7 +98,7 @@ def estimate_outage_mc(params: ScenarioParams, n_trials: int,
         mean = int(np.count_nonzero(gain < p.theta_h * denominator)) / n_trials
         estimates.append(ProbEstimate(mean, math.sqrt(mean * (1.0 - mean) / n_trials),
                                       n_trials))
-    return (*estimates, p.p_h * unit)
+    return tuple(estimates)
 
 
 def ks_distance(samples, cdf) -> float:
@@ -173,7 +173,7 @@ def run_mg1(params: ScenarioParams, modes: tuple[ServiceMode, ...], n_packets: i
     per-packet service delays, FCFS, deadline truncation; statistics with
     error bars. All modes share the arrivals and band draws, from independent
     sub-streams of rng, so a seed reproduces each mode whatever the others.
-    interference, leading shared-band fields, goes to sample_service_delays.
+    interference, the shared band's fields, goes to sample_service_delays.
     """
     if params.lambda_md <= 0:
         raise ValueError("lambda_md must be positive to drive arrivals")

@@ -40,7 +40,7 @@ def check_outage_oracle(params: ScenarioParams, trials: int = 1_000_000,
     start = time.monotonic()
     exact_no = analytic.outage_no_sharing(params)
     exact_sh = analytic.outage_with_sharing(params)
-    est_no, est_sh, _ = simulate.estimate_outage_mc(params, trials, np.random.default_rng(seed))
+    est_no, est_sh = simulate.estimate_outage_mc(params, trials, np.random.default_rng(seed))
     dev_no = abs(est_no.mean - exact_no) / est_no.std_error
     dev_sh = abs(est_sh.mean - exact_sh) / est_sh.std_error
     elapsed = time.monotonic() - start

@@ -128,14 +128,18 @@ def test_field_budget_is_checked_before_any_draw():
 
 
 def test_given_fields_serve_the_leading_shared_band_packets():
-    # a field of infinite power jams exactly the packets it is given to
-    jammed = np.full(300, np.inf)
-    caps = sample_capacities(PARAMS, (ServiceMode.SHARED_ONLY,), 1000,
-                             np.random.default_rng(24), jammed)[ServiceMode.SHARED_ONLY]
+    # a field of infinite power jams exactly the packets that read it, in order
+    shared = ServiceMode.SHARED_ONLY
+    fields = np.concatenate((np.full(300, np.inf), np.zeros(700)))
+    caps = sample_capacities(PARAMS, (shared,), 1000, np.random.default_rng(24),
+                             fields)[shared]
     assert np.all(caps[:300] == 0.0) and np.all(caps[300:] > 0.0)
-    fewer = sample_capacities(PARAMS, (ServiceMode.SHARED_ONLY,), 100,
-                              np.random.default_rng(24), jammed)[ServiceMode.SHARED_ONLY]
+    fewer = sample_capacities(PARAMS, (shared,), 100, np.random.default_rng(24),
+                              fields)[shared]
     assert np.all(fewer == 0.0)
+    # fewer fields than packets: no packet draws a field of its own
+    with pytest.raises(ValueError, match="1000 interferer fields given for 1001 packets"):
+        sample_capacities(PARAMS, (shared,), 1001, np.random.default_rng(24), fields)
 
 
 def test_combined_never_slower_than_shared_on_common_field():

@@ -34,21 +34,13 @@ class TestOutageEstimator:
         assert abs(est.mean - analytic.outage_no_sharing(PARAMS)) <= 3 * est.std_error
 
     def test_sharing_dominates_on_paired_streams(self):
-        base, shared, _ = estimate_outage_mc(PARAMS, 50_000, np.random.default_rng(3))
+        base, shared = estimate_outage_mc(PARAMS, 50_000, np.random.default_rng(3))
         assert shared.mean >= base.mean
 
     def test_deterministic_under_seed(self):
         a = estimate_outage_mc(PARAMS, 20_000, np.random.default_rng(4))
         b = estimate_outage_mc(PARAMS, 20_000, np.random.default_rng(4))
-        assert a[:2] == b[:2] and np.array_equal(a[2], b[2])
-
-    def test_hands_back_the_fields_it_drew_first(self):
-        # the fields come first on rng, so they are the sampler's own draws
-        fields = estimate_outage_mc(PARAMS, 1000, np.random.default_rng(6))[2]
-        expected = geometry.sample_interference_batch(
-            PARAMS.p_h, PARAMS.lambda_h, PARAMS.mc_radius, PARAMS.alpha, 1000,
-            np.random.default_rng(6))
-        assert np.array_equal(fields, expected)
+        assert a == b
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
