@@ -18,8 +18,8 @@ import numpy as np
 from .model import ScenarioParams, ServiceMode, with_updates
 from .quadrature import cdf_moment_integrals, convolve_cdf_pdf
 
-# f2 mass ignored beyond the convolution cutoff
-_CONV_TAIL = 1e-12
+# proprietary level where the combined-mode convolution stops (mass e^-50 past it)
+_LEVEL_MAX = 50.0
 
 # the link budget: every field the service moments read; the arrival rate
 # enters the delay only through the load
@@ -193,7 +193,8 @@ def _proprietary_pdf(params: ScenarioParams):
         return lambda u: 0.0
     inv_bm = 1.0 / params.b_m
     ln2 = math.log(2.0)
-    log_prefactor = math.log(coeff * ln2 * inv_bm)
+    # a sum of logs: the product coeff * ln2 / b_m can underflow to zero
+    log_prefactor = math.log(coeff) + math.log(ln2) - math.log(params.b_m)
 
     def f2(u: float) -> float:
         e = u * inv_bm
@@ -207,7 +208,7 @@ def _proprietary_pdf(params: ScenarioParams):
     return f2
 
 
-def proprietary_tail_cutoff(params: ScenarioParams, tail: float = _CONV_TAIL) -> float:
+def proprietary_tail_cutoff(params: ScenarioParams, tail: float) -> float:
     """Capacity beyond which the proprietary-band distribution holds < tail mass."""
     coeff = _proprietary_coeff(params)
     if coeff == 0.0:
@@ -218,17 +219,32 @@ def proprietary_tail_cutoff(params: ScenarioParams, tail: float = _CONV_TAIL) ->
 def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
     """P(capacity > rate) for the mode, as a plain-float function of the rate.
 
-    The combined capacity is the sum of the independent band capacities; its
-    CDF is the convolution of the shared-band CDF with the proprietary-band
-    density, whose mass beyond the tail cutoff (_CONV_TAIL) is neglected.
+    The combined capacity is the sum of the independent band capacities. The
+    proprietary capacity C2(x) = B_m log2(1 + x / coeff) is increasing in its
+    Exp(1) level x and stays below z while x < coeff * expm1(z ln2 / B_m), so
+    P(C1 + C2 <= z) is the integral of F1(z - C2(x)) e^(-x) over those levels,
+    stopped at _LEVEL_MAX. Where x / coeff or expm1 would overflow, both maps
+    work in logs (ln x - ln coeff is then log1p(x / coeff) to within 1e-308).
     """
     if mode is not ServiceMode.COMBINED:
         return _band_tail(params, mode)
+    coeff = _proprietary_coeff(params)
+    if coeff == 0.0:  # no noise: the proprietary capacity is almost surely infinite
+        return lambda z: 1.0
     shared_tail = _band_tail(params, ServiceMode.SHARED_ONLY)
     F1 = lambda tau: 1.0 - shared_tail(tau)
-    f2 = _proprietary_pdf(params)
-    u_max = proprietary_tail_cutoff(params)
-    return lambda z: 1.0 - convolve_cdf_pdf(F1, f2, z, u_max=u_max, u_tail=_CONV_TAIL)
+    scale, log_coeff = params.b_m / math.log(2.0), math.log(coeff)
+
+    def rate_of_level(x: float) -> float:
+        ratio = x / coeff
+        return scale * (math.log1p(ratio) if ratio < math.inf else math.log(x) - log_coeff)
+
+    def tail(z: float) -> float:
+        e = z / scale
+        level = coeff * math.expm1(e) if e < 700.0 else math.exp(min(700.0, log_coeff + e))
+        return 1.0 - convolve_cdf_pdf(F1, rate_of_level, z, min(_LEVEL_MAX, max(0.0, level)))
+
+    return tail
 
 
 def _service_cdf(params: ScenarioParams, mode: ServiceMode):
@@ -263,9 +279,7 @@ def service_cdf(params: ScenarioParams, mode: ServiceMode, t):
     """CDF of the per-packet service delay at time t for the given mode.
 
     Equals one minus the mode's capacity CDF evaluated at the required rate
-    u_m * n_m / t. The single-band modes return exactly zero as t -> 0+; the
-    combined mode levels off at the proprietary tail mass the convolution
-    neglects (9.9998e-13 at the default scenario) instead.
+    u_m * n_m / t.
     """
     if np.any(np.asarray(t) < 0):
         raise ValueError("service delay argument must be nonnegative")
@@ -286,16 +300,10 @@ def truncated_service_moments(params: ScenarioParams, mode: ServiceMode) -> Trun
     t^(k-1) F(t) over [0, t_out]. Results are cached on params, so callers
     pass moment_key(params), as delay_report does; a lambda_md sweep then
     computes each mode's moments once.
-
-    A combined-mode on-time probability F(t_out) at or below the proprietary
-    tail mass the convolution neglects carries no information: such a
-    scenario is saturated, with fail_prob = 1 and m_k = t_out^k.
     """
     F = _service_cdf(params, mode)
     t_out = params.t_out
     on_time = F(t_out)
-    if mode is ServiceMode.COMBINED and on_time <= _CONV_TAIL:
-        return TruncatedMoments(m1=t_out, m2=t_out ** 2, m3=t_out ** 3, fail_prob=1.0)
     i1, i2, i3 = cdf_moment_integrals(F, t_out)
     return TruncatedMoments(
         m1=max(0.0, t_out - i1),

@@ -31,8 +31,8 @@ from .model import ScenarioParams, ServiceMode
 _CHUNK_POINTS = 4_000_000
 # points per in-place working piece: bounds memory, leaves the draws alone
 _PIECE_POINTS = 1 << 16
-# expected PPP points one call may draw: about a minute at the 2.8e7 points/s
-# measured in sweeps
+# expected PPP points one call may draw: about 30-45 s at the 4.5e7-6.4e7
+# points/s traced in sweeps
 MAX_FIELD_POINTS = 2e9
 
 

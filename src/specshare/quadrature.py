@@ -3,7 +3,7 @@
 Wraps adaptive Gauss-Kronrod quadrature (QUADPACK via scipy) behind a small
 contract used by every closed-form delay expression: plain integrals,
 CDF-moment integrals over the deadline window, and the capacity-distribution
-convolution.
+convolution over an exponential level.
 """
 
 from __future__ import annotations
@@ -60,21 +60,17 @@ def cdf_moment_integrals(F: Callable[[float], float],
     return i1, i2, i3
 
 
-def convolve_cdf_pdf(F1: Callable[[float], float], f2: Callable[[float], float],
-                     z: float, u_max: float = math.inf, u_tail: float = 0.0) -> float:
-    """CDF of the sum of two nonnegative independent variates at z.
+def convolve_cdf_pdf(F1: Callable[[float], float], rate_of_level: Callable[[float], float],
+                     z: float, level_max: float) -> float:
+    """CDF at z of C1 + C2 for independent nonnegative C1 and C2, where C1 has
+    CDF F1 and C2 = rate_of_level(X) is increasing in an Exp(1) level X.
 
-    Evaluates integral over u in [0, min(z, u_max)] of F1(z - u) * f2(u),
-    i.e. the convolution written in the substituted variable u = z - tau.
-    u_max bounds f2's effective support; u_tail is f2's mass beyond u_max
-    (both supplied by the caller from closed-form tail knowledge). When every
-    F1 value on the integration range is within 1e-12 of one, the integral
-    collapses to f2's mass and is returned without quadrature.
+    Evaluates the integral over x in [0, level_max] of F1(z - rate_of_level(x))
+    * e^(-x): the convolution of F1 with C2's law, written over C2's level.
+    The caller passes as level_max the level at which C2 reaches z, capped
+    where the e^(-x) mass beyond it is negligible.
     """
-    if z <= 0.0:
+    if level_max <= 0.0:
         return 0.0
-    u_hi = min(z, u_max)
-    if u_hi == u_max and F1(z - u_max) >= 1.0 - 1e-12:
-        return min(1.0, max(0.0, 1.0 - u_tail))
-    value = integrate(lambda u: F1(z - u) * f2(u), 0.0, u_hi)
+    value = integrate(lambda x: F1(z - rate_of_level(x)) * math.exp(-x), 0.0, level_max)
     return min(1.0, max(0.0, value))

@@ -26,7 +26,7 @@ from specshare.analytic import (
     truncated_service_moments,
 )
 from specshare.model import ScenarioParams, ServiceMode, validate, with_updates
-from specshare.quadrature import QuadratureError, integrate
+from specshare.quadrature import REL_TOL, QuadratureError, integrate
 
 PARAMS = validate(ScenarioParams())
 
@@ -35,6 +35,11 @@ OUTAGE_NO_SHARING_AT_DEFAULTS = 0.005714625593564749
 OUTAGE_SHARING_AT_DEFAULTS = 0.015559035241153216
 INCREMENT_AT_DEFAULTS = 1.7226692259024419
 PROP_CDF_AT_BREAKPOINT = 0.018665624561518938  # t = u_m n_m / b_m
+
+# a proprietary coefficient of 4e-308: the combined law must read as shared alone
+TINY_PROPRIETARY_BAND = dict(b_m=1e-300)
+# coeff * ln2 / b_m underflows to zero in the proprietary density
+UNDERFLOWING_DENSITY = dict(noise_psd=1e-300, y0=0.001, p_m=1e10, n_m=1000)
 
 
 class TestOutage:
@@ -180,6 +185,11 @@ class TestCapacityDistributions:
         expected = np.diff(capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, edges))
         assert 0.5 * np.abs(observed - expected).sum() <= 0.02
 
+    def test_proprietary_pdf_survives_an_underflowing_prefactor(self):
+        params = with_updates(PARAMS, **UNDERFLOWING_DENSITY)
+        density = capacity_pdf_proprietary(params, np.geomspace(1.0, 1e12, 200))
+        assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
+
     def test_tail_cutoff_captures_requested_mass(self):
         cutoff = proprietary_tail_cutoff(PARAMS, tail=1e-12)
         tail = 1.0 - capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, cutoff)
@@ -189,8 +199,8 @@ class TestCapacityDistributions:
 class TestServiceCdf:
     def test_limits(self):
         # the shared-band CDF approaches one only like 1/sqrt(t), so the
-        # asymptote needs a very large argument; near zero the combined mode
-        # may return up to its 1e-12 convolution-tail allowance
+        # asymptote needs a very large argument; near zero every mode is at
+        # most 1e-12 from zero
         for mode in ServiceMode:
             assert service_cdf(PARAMS, mode, 1e15) == pytest.approx(1.0, abs=1e-9)
             assert service_cdf(PARAMS, mode, 1e-9) <= 1e-12
@@ -240,6 +250,14 @@ class TestTruncatedMoments:
         assert tm.m2 <= 1e-6 * PARAMS.t_out ** 2
         assert tm.fail_prob <= 1e-9
 
+    @pytest.mark.parametrize("mode", [ServiceMode.PROPRIETARY_ONLY, ServiceMode.COMBINED])
+    def test_noiseless_proprietary_band_serves_instantly(self, mode):
+        # no noise: the proprietary capacity is infinite, so is the combined one
+        tm = truncated_service_moments(with_updates(PARAMS, noise_psd=0.0), mode)
+        assert tm.fail_prob == 0.0
+        for k, m in enumerate((tm.m1, tm.m2, tm.m3), start=1):
+            assert 0.0 <= m <= 1e-12 * PARAMS.t_out ** k
+
     def test_never_completing_service_limit(self):
         stalled = with_updates(PARAMS, p_m=1e-30)
         tm = truncated_service_moments(stalled, ServiceMode.PROPRIETARY_ONLY)
@@ -265,14 +283,34 @@ class TestTruncatedMoments:
         assert sampled == pytest.approx(tm.m1, rel=0.005)
 
     def test_saturated_combined_service_misses_every_deadline(self):
-        # 1e300 devices: the combined CDF at t_out is only the neglected
-        # proprietary tail mass, so every packet misses its deadline
+        # 1e300 devices: no level of either band carries the load by t_out,
+        # so every packet misses its deadline
         saturated = with_updates(PARAMS, n_m=10 ** 300)
         tm = truncated_service_moments(saturated, ServiceMode.COMBINED)
         t = PARAMS.t_out
         assert tm == TruncatedMoments(t, t ** 2, t ** 3, 1.0)
         with pytest.raises(UnstableQueueError, match="load 1 >= 1"):
             delay_report(saturated, ServiceMode.COMBINED)
+
+    def test_tiny_proprietary_band_leaves_combined_equal_to_shared(self):
+        params = with_updates(PARAMS, **TINY_PROPRIETARY_BAND)
+        combined = delay_report(params, ServiceMode.COMBINED)
+        shared = delay_report(params, ServiceMode.SHARED_ONLY)
+        assert combined.mean_service == pytest.approx(shared.mean_service, rel=1e-6)
+        assert combined.fail_prob == pytest.approx(shared.fail_prob, rel=1e-6)
+        assert combined.fail_prob != 0.0
+
+    @pytest.mark.parametrize("changes", [{}, TINY_PROPRIETARY_BAND],
+                             ids=["defaults", "tiny_proprietary_band"])
+    def test_combined_moments_dominated_by_each_band(self, changes):
+        # C1 + C2 exceeds each band's capacity on every draw; the two sides are
+        # separate quadratures, each good to REL_TOL
+        params = with_updates(PARAMS, **changes)
+        combined = truncated_service_moments(params, ServiceMode.COMBINED)
+        for band in (ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY):
+            single = truncated_service_moments(params, band)
+            for name in ("m1", "m2", "m3", "fail_prob"):
+                assert getattr(combined, name) <= getattr(single, name) * (1.0 + REL_TOL)
 
 
 class TestMomentKey:

@@ -39,6 +39,14 @@ y0_m = 63.8
 # default arrival rate the load is exactly one
 SATURATED_CONFIG = "lambda_mu_per_m2 = 1e296\n"
 
+# a subnormal proprietary coefficient: coeff * ln2 / B_m underflows to zero
+UNDERFLOWING_DENSITY_CONFIG = """\
+N0_w_per_hz = 1e-300
+y0_m = 0.001
+P_m_dbm = 130
+N_m = 1000
+"""
+
 # between the no-sharing outage (0.0057 at the defaults) and the sharing
 # outage at p_max (0.0156): the tolerance, not p_max, sets the shared power
 BINDING_EPSILON = 0.012
@@ -557,6 +565,27 @@ class TestMain:
         for mode in ServiceMode:
             assert f"error[{mode.value}]: queue unstable: load 1 >= 1" in captured.err
         assert "[combined] =" not in captured.out
+
+    def test_eval_underflowing_density_keeps_the_outage_cells(self, tmp_path, capsys):
+        config = tmp_path / "underflow.cfg"
+        config.write_text(UNDERFLOWING_DENSITY_CONFIG)
+        assert cli.main(["eval", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert "outage_no_sharing = " in captured.out
+        assert "outage_sharing = " in captured.out
+        assert "math domain error" not in captured.err
+
+    def test_underflowing_density_sweep_has_no_outage_error_rows(self, tmp_path, capsys):
+        config = tmp_path / "underflow.cfg"
+        config.write_text(UNDERFLOWING_DENSITY_CONFIG)
+        out = tmp_path / "sweep.csv"
+        cli.main(["sweep", "--config", str(config), "--var", "lambda_md", "--from", "20",
+                  "--to", "50", "--steps", "2", "--out", str(out)])
+        outage_rows = [row.split(",") for row in out.read_text().splitlines()[1:]
+                       if row.split(",")[2].startswith("outage_")]
+        assert len(outage_rows) == 4
+        assert all(math.isfinite(float(row[4])) for row in outage_rows)
+        assert "math domain error" not in capsys.readouterr().err
 
     def test_saturated_sweep_point_becomes_error_row(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

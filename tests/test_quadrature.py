@@ -109,14 +109,25 @@ def test_integrate_linearity(a, b):
 
 
 def test_convolve_zero_argument():
-    assert convolve_cdf_pdf(lambda t: 1.0, lambda u: 1.0, 0.0) == 0.0
+    # a zero level: C2 already exceeds z at level 0
+    assert convolve_cdf_pdf(lambda t: 1.0, lambda x: x, 0.0, 0.0) == 0.0
 
 
 def test_convolve_with_saturated_cdf_returns_pdf_mass():
-    # F1 == 1 turns the convolution into the plain mass of f2 below z
-    pdf = lambda u: math.exp(-u)  # unit-mean exponential density
-    value = convolve_cdf_pdf(lambda t: 1.0, pdf, 20.0)
-    assert value == pytest.approx(1.0, abs=1e-8)
+    # F1 == 1 turns the convolution into the plain Exp(1) mass below the level
+    value = convolve_cdf_pdf(lambda t: 1.0, lambda x: x, 20.0, 20.0)
+    assert value == pytest.approx(-math.expm1(-20.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.01, 0.3, 1.0, 4.0, 12.0])
+def test_convolve_matches_hypoexponential_cdf(z):
+    # closed form: C1 ~ Exp(a) and C2 = X / b ~ Exp(b), so C1 + C2 is
+    # hypoexponential; C2 reaches z at level b z
+    a, b = 2.0, 3.0
+    F1 = lambda t: -math.expm1(-a * t) if t > 0.0 else 0.0
+    value = convolve_cdf_pdf(F1, lambda x: x / b, z, min(50.0, b * z))
+    exact = 1.0 - (b * math.exp(-a * z) - a * math.exp(-b * z)) / (b - a)
+    assert value == pytest.approx(exact, rel=10 * REL_TOL)
 
 
 def test_convolve_monotone_and_bounded():
