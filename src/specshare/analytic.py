@@ -20,6 +20,7 @@ from .quadrature import cdf_moment_integrals, convolve_cdf_pdf
 
 # proprietary level where the combined-mode convolution stops (mass e^-50 past it)
 _LEVEL_MAX = 50.0
+_LN2 = math.log(2.0)
 
 # the link budget: every field the service moments read; the arrival rate
 # enters the delay only through the load
@@ -150,22 +151,30 @@ def _proprietary_coeff(params: ScenarioParams) -> float:
     return p.y0 ** p.alpha * p.noise_psd * p.b_m / (p.p_m * p.n_m)
 
 
+def _band_law(params: ScenarioParams, band: ServiceMode):
+    """1/B, the interference exponent, the noise and interference coefficients
+    and the tail's floor of one band (SHARED_ONLY or PROPRIETARY_ONLY)."""
+    if band is ServiceMode.SHARED_ONLY:
+        c_noise, c_int = _shared_coeffs(params)
+        inv_b, two_over_alpha = 1.0 / params.b_h, 2.0 / params.alpha
+    else:
+        c_noise, c_int = _proprietary_coeff(params), 0.0
+        inv_b, two_over_alpha = 1.0 / params.b_m, 1.0
+    floor = 1.0 if (c_noise == 0.0 and c_int == 0.0) else 0.0
+    return inv_b, two_over_alpha, c_noise, c_int, floor
+
+
 def _band_tail(params: ScenarioParams, band: ServiceMode):
     """P(capacity > rate) on one band (SHARED_ONLY or PROPRIETARY_ONLY), as a
     plain-float function of the rate in bits/s.
 
-    The SINR threshold for rate r is beta = 2^(r/B) - 1; the tail is
-    exp(-(c_noise*beta + c_int*beta^(2/alpha))). Past the overflow and
+    The SINR threshold for rate r is beta = 2^(r/B) - 1, computed as
+    expm1(r ln2 / B) so that it stays positive for the smallest rates; the
+    tail is exp(-(c_noise*beta + c_int*beta^(2/alpha))). Past the overflow and
     underflow guards it is exactly zero, or one when the band has neither
     noise nor interference.
     """
-    if band is ServiceMode.SHARED_ONLY:
-        inv_b, two_over_alpha = 1.0 / params.b_h, 2.0 / params.alpha
-        c_noise, c_int = _shared_coeffs(params)
-    else:
-        inv_b, two_over_alpha = 1.0 / params.b_m, 1.0
-        c_noise, c_int = _proprietary_coeff(params), 0.0
-    floor = 1.0 if (c_noise == 0.0 and c_int == 0.0) else 0.0
+    inv_b, two_over_alpha, c_noise, c_int, floor = _band_law(params, band)
 
     def tail(rate: float) -> float:
         e = rate * inv_b
@@ -173,11 +182,27 @@ def _band_tail(params: ScenarioParams, band: ServiceMode):
             return 1.0
         if e > 1020.0:  # 2**e overflows; the exponent is astronomically large
             return floor
-        beta = 2.0 ** e - 1.0
+        beta = math.expm1(e * _LN2)
         x = c_noise * beta + c_int * beta ** two_over_alpha
         if x >= 746.0:  # exp(-x) underflows, even to subnormals
             return floor
         return math.exp(-x)
+
+    return tail
+
+
+def _band_tail_array(params: ScenarioParams, band: ServiceMode):
+    """_band_tail as a function of a numpy array of rates, elementwise."""
+    inv_b, two_over_alpha, c_noise, c_int, floor = _band_law(params, band)
+
+    def tail(rate: np.ndarray) -> np.ndarray:
+        e = rate * inv_b
+        with np.errstate(all="ignore"):  # where e <= 0 or x overflows, the guards decide
+            beta = np.expm1(np.minimum(e, 1020.0) * _LN2)
+            x = c_noise * beta + c_int * beta ** two_over_alpha
+            # exp(-x) is 0 from x = 746 on, as the scalar guard has it (x is 0
+            # when the floor is 1)
+            return np.where(e <= 0.0, 1.0, np.where(e > 1020.0, floor, np.exp(-x)))
 
     return tail
 
@@ -192,15 +217,14 @@ def _proprietary_pdf(params: ScenarioParams):
     if coeff == 0.0:  # no noise: capacity is almost surely infinite
         return lambda u: 0.0
     inv_bm = 1.0 / params.b_m
-    ln2 = math.log(2.0)
     # a sum of logs: the product coeff * ln2 / b_m can underflow to zero
-    log_prefactor = math.log(coeff) + math.log(ln2) - math.log(params.b_m)
+    log_prefactor = math.log(coeff) + math.log(_LN2) - math.log(params.b_m)
 
     def f2(u: float) -> float:
         e = u * inv_bm
         if e > 1020.0:
             return 0.0
-        log_density = log_prefactor + e * ln2 - coeff * (2.0 ** e - 1.0)
+        log_density = log_prefactor + e * _LN2 - coeff * math.expm1(e * _LN2)
         if log_density < -745.0:
             return 0.0
         return math.exp(log_density)
@@ -223,26 +247,44 @@ def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
     proprietary capacity C2(x) = B_m log2(1 + x / coeff) is increasing in its
     Exp(1) level x and stays below z while x < coeff * expm1(z ln2 / B_m), so
     P(C1 + C2 <= z) is the integral of F1(z - C2(x)) e^(-x) over those levels,
-    stopped at _LEVEL_MAX. Where x / coeff or expm1 would overflow, both maps
-    work in logs (ln x - ln coeff is then log1p(x / coeff) to within 1e-308).
+    stopped at _LEVEL_MAX. F1 turns from 0 to 1 around the shared band's median
+    rate, so the rule splits the levels where z - C2(x) reaches it. Where
+    x / coeff or expm1 would overflow, both maps work in logs (ln x - ln coeff
+    is then log1p(x / coeff) to within 1e-308).
     """
     if mode is not ServiceMode.COMBINED:
         return _band_tail(params, mode)
     coeff = _proprietary_coeff(params)
     if coeff == 0.0:  # no noise: the proprietary capacity is almost surely infinite
         return lambda z: 1.0
-    shared_tail = _band_tail(params, ServiceMode.SHARED_ONLY)
+    shared_tail = _band_tail_array(params, ServiceMode.SHARED_ONLY)
     F1 = lambda tau: 1.0 - shared_tail(tau)
-    scale, log_coeff = params.b_m / math.log(2.0), math.log(coeff)
+    scale, log_coeff = params.b_m / _LN2, math.log(coeff)
+    # the shared median rate B_h log2(1 + beta), beta where either exponent term
+    # alone reaches ln 2; in logs, as a coefficient may be 0, tiny or huge
+    c_noise, c_int = _shared_coeffs(params)
+    log_ln2 = math.log(_LN2)
+    log_beta = min(log_ln2 - math.log(c_noise) if c_noise > 0.0 else math.inf,
+                   0.5 * params.alpha * (log_ln2 - math.log(c_int)) if c_int > 0.0 else math.inf)
+    median_rate = params.b_h / _LN2 * float(np.logaddexp(0.0, log_beta))
 
-    def rate_of_level(x: float) -> float:
-        ratio = x / coeff
-        return scale * (math.log1p(ratio) if ratio < math.inf else math.log(x) - log_coeff)
+    if _LEVEL_MAX / coeff < math.inf:  # x / coeff is finite on every level
+        rate_of_level = lambda x: scale * np.log1p(x / coeff)
+    else:
+        def rate_of_level(x: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", divide="ignore"):  # x / coeff may overflow
+                ratio = x / coeff
+                return scale * np.where(ratio < math.inf, np.log1p(ratio),
+                                        np.log(x) - log_coeff)
+
+    def level_of_rate(rate: float) -> float:  # C2 reaches the rate at this level
+        e = rate / scale
+        return coeff * math.expm1(e) if e < 700.0 else math.exp(min(700.0, log_coeff + e))
 
     def tail(z: float) -> float:
-        e = z / scale
-        level = coeff * math.expm1(e) if e < 700.0 else math.exp(min(700.0, log_coeff + e))
-        return 1.0 - convolve_cdf_pdf(F1, rate_of_level, z, min(_LEVEL_MAX, max(0.0, level)))
+        level = min(_LEVEL_MAX, max(0.0, level_of_rate(z)))
+        return 1.0 - convolve_cdf_pdf(F1, rate_of_level, z, level,
+                                      level_of_rate(z - median_rate))
 
     return tail
 
@@ -263,11 +305,20 @@ def _elementwise(law, x):
     return np.fromiter(map(law, map(float, x.flat)), float, x.size).reshape(x.shape)
 
 
+def _tail_at(params: ScenarioParams, mode: ServiceMode, rate):
+    """The mode's P(capacity > rate) at a scalar rate, or at every element of
+    an array (keeping its shape): a single band through its array law, the
+    combined mode one rate at a time."""
+    if mode is ServiceMode.COMBINED:
+        return _elementwise(_capacity_tail(params, mode), rate)
+    tail = _band_tail_array(params, mode)(np.asarray(rate, dtype=float))
+    return float(tail) if np.isscalar(rate) else tail
+
+
 def capacity_cdf(params: ScenarioParams, mode: ServiceMode, z):
     """CDF of the mode's capacity at z bits/s: the shared band B_h log2(1 + SINR),
     the proprietary band B_m log2(1 + SNR), or their sum (combined)."""
-    tail = _capacity_tail(params, mode)
-    return _elementwise(lambda rate: 1.0 - tail(rate), z)
+    return 1.0 - _tail_at(params, mode, z)
 
 
 def capacity_pdf_proprietary(params: ScenarioParams, tau):
@@ -283,7 +334,9 @@ def service_cdf(params: ScenarioParams, mode: ServiceMode, t):
     """
     if np.any(np.asarray(t) < 0):
         raise ValueError("service delay argument must be nonnegative")
-    return _elementwise(_service_cdf(params, mode), t)
+    with np.errstate(divide="ignore"):  # t = 0 asks for an infinite rate
+        rate = params.u_m * params.n_m / np.asarray(t, dtype=float)
+    return _tail_at(params, mode, float(rate) if np.isscalar(t) else rate)
 
 
 def moment_key(params: ScenarioParams) -> ScenarioParams:

@@ -89,6 +89,14 @@ def _path_loss_is_float(distance: float, alpha: float) -> bool:
         return False
 
 
+def _cube_is_float(value: float) -> bool:
+    """Whether value ** 3 is a finite float, as the third truncated moment needs."""
+    try:
+        return value ** 3 < math.inf
+    except OverflowError:
+        return False
+
+
 def validate(params: ScenarioParams) -> ScenarioParams:
     """Check every scenario invariant; return the params unchanged if all hold.
 
@@ -123,6 +131,8 @@ def validate(params: ScenarioParams) -> ScenarioParams:
                                 f"nonzero, got {name} = {d!r}, alpha = {params.alpha!r}")
     if not (math.isfinite(params.t_out) and params.t_out > 0):
         problems.append("t_out must be positive")
+    elif not _cube_is_float(params.t_out):
+        problems.append(f"t_out ** 3 must be a finite float, got t_out = {params.t_out!r}")
     for name in ("n_h", "n_m"):
         value = getattr(params, name)
         if not (isinstance(value, int) and value >= 1):

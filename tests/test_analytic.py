@@ -25,8 +25,8 @@ from specshare.analytic import (
     service_cdf,
     truncated_service_moments,
 )
-from specshare.model import ScenarioParams, ServiceMode, validate, with_updates
-from specshare.quadrature import REL_TOL, QuadratureError, integrate
+from specshare.model import ScenarioParams, ServiceMode, dbm_to_watts, validate, with_updates
+from specshare.quadrature import ABS_TOL, REL_TOL, QuadratureError, integrate
 
 PARAMS = validate(ScenarioParams())
 
@@ -40,6 +40,14 @@ PROP_CDF_AT_BREAKPOINT = 0.018665624561518938  # t = u_m n_m / b_m
 TINY_PROPRIETARY_BAND = dict(b_m=1e-300)
 # coeff * ln2 / b_m underflows to zero in the proprietary density
 UNDERFLOWING_DENSITY = dict(noise_psd=1e-300, y0=0.001, p_m=1e10, n_m=1000)
+# the shared interference coefficient overflows to inf: the shared band carries
+# nothing, so combined serves as proprietary alone
+DROWNED_SHARED_BAND = dict(lambda_h=1.4e222, p_m_shared=dbm_to_watts(-3000.0))
+# the moment fields of the link_sweep benchmark's catalog op 3
+CATALOG_LINK_BUDGET = dict(p_h=0.24618332147380845, p_m=0.23501938650728563,
+                           p_m_shared=0.25760778450007243, y0=10.340565935202823,
+                           alpha=4.195566563198109, u_m=317.61579767921614,
+                           t_out=0.010889405343893125, lambda_h=9.656845085167784e-05, n_m=97)
 
 
 class TestOutage:
@@ -190,6 +198,27 @@ class TestCapacityDistributions:
         density = capacity_pdf_proprietary(params, np.geomspace(1.0, 1e12, 200))
         assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
 
+    @pytest.mark.parametrize("band", [ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY])
+    @pytest.mark.parametrize("changes", [
+        {}, dict(noise_psd=0.0), dict(lambda_h=0.0), dict(noise_psd=0.0, lambda_h=0.0),
+        DROWNED_SHARED_BAND, dict(b_m=1e30), TINY_PROPRIETARY_BAND],
+        ids=["defaults", "noiseless", "no_interferers", "zero_coefficients",
+             "drowned_shared_band", "wide_proprietary_band", "tiny_proprietary_band"])
+    def test_array_band_law_matches_the_scalar_one(self, band, changes):
+        # rates on both sides of every guard: e <= 0, e > 1020 and an exponent
+        # of 746 (crossed inside the geometric grid wherever a coefficient is
+        # not zero), in units of the band's width
+        params = with_updates(PARAMS, **changes)
+        width = params.b_h if band is ServiceMode.SHARED_ONLY else params.b_m
+        e = np.concatenate(([-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-17], np.geomspace(1e-12, 1e3, 301),
+                            [1020.0, np.nextafter(1020.0, 2e3), 2e3, math.inf]))
+        scalar = analytic._band_tail(params, band)
+        expected = np.array([scalar(rate) for rate in (e * width).tolist()])
+        got = analytic._band_tail_array(params, band)(e * width)
+        # numpy's power may differ from libm's by an ulp, which exp(-x) scales by x
+        assert np.max(np.abs(got - expected)) <= 1e-15
+        assert got[0] == got[1] == 1.0 and got[-1] == (1.0 if np.all(expected == 1.0) else 0.0)
+
     def test_tail_cutoff_captures_requested_mass(self):
         cutoff = proprietary_tail_cutoff(PARAMS, tail=1e-12)
         tail = 1.0 - capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, cutoff)
@@ -240,6 +269,43 @@ class TestServiceCdf:
             assert cap.shape == zs.shape
             assert cap.tolist() == [[capacity_cdf(PARAMS, mode, float(z)) for z in row]
                                     for row in zs]
+
+
+def _adaptive_inner_integral(params, z):
+    """P(C1 + C2 <= z) from the scalar adaptive integral over the proprietary
+    level that the tanh-sinh rule replaced."""
+    coeff = analytic._proprietary_coeff(params)
+    shared_tail = analytic._band_tail(params, ServiceMode.SHARED_ONLY)
+    scale = params.b_m / math.log(2.0)
+    level = min(analytic._LEVEL_MAX, coeff * math.expm1(z / scale))
+    return integrate(lambda x: (1.0 - shared_tail(z - scale * math.log1p(x / coeff)))
+                     * math.exp(-x), 0.0, level)
+
+
+# box scenarios (numpy seed 2027) where the shared CDF steps sharply inside
+# the level range (z / B_h of 74 and 438): unsplit, the rule needs step 1/128
+# and 1/256
+SHARP_STEP_SCENARIOS = [
+    (dict(alpha=2.4779, t_out=1.5906e-3, lambda_h=2.0893e-6, b_h=5.8039e6, b_m=1.4114e8,
+          n_m=144, noise_psd=1.2543e-10, y0=2.3545), 4.2939e8),
+    (dict(alpha=5.2650, t_out=1.7777e-3, lambda_h=5.8164e-6, b_h=3.9049e6, b_m=8.1665e8,
+          n_m=124, noise_psd=3.9736e-12, y0=2.2943), 1.7108e9),
+]
+
+
+class TestCombinedInnerRule:
+    @pytest.mark.parametrize("fraction", [1.0, 0.25, 0.0625])
+    def test_catalog_scenario_matches_the_adaptive_integral(self, fraction):
+        params = with_updates(PARAMS, **CATALOG_LINK_BUDGET)
+        z = params.u_m * params.n_m / (fraction * params.t_out)
+        assert capacity_cdf(params, ServiceMode.COMBINED, z) == pytest.approx(
+            _adaptive_inner_integral(params, z), rel=10 * REL_TOL, abs=10 * ABS_TOL)
+
+    @pytest.mark.parametrize("changes, z", SHARP_STEP_SCENARIOS, ids=["z74bh", "z438bh"])
+    def test_sharp_shared_step_matches_the_adaptive_integral(self, changes, z):
+        params = with_updates(PARAMS, **changes)
+        assert capacity_cdf(params, ServiceMode.COMBINED, z) == pytest.approx(
+            _adaptive_inner_integral(params, z), rel=10 * REL_TOL, abs=10 * ABS_TOL)
 
 
 class TestTruncatedMoments:
@@ -299,6 +365,23 @@ class TestTruncatedMoments:
         assert combined.mean_service == pytest.approx(shared.mean_service, rel=1e-6)
         assert combined.fail_prob == pytest.approx(shared.fail_prob, rel=1e-6)
         assert combined.fail_prob != 0.0
+
+    def test_drowned_shared_band_leaves_combined_equal_to_proprietary(self):
+        # 2**e - 1 rounded the SINR threshold to 0 here, and inf * 0 gave nan
+        params = with_updates(PARAMS, **DROWNED_SHARED_BAND)
+        for mode in (ServiceMode.PROPRIETARY_ONLY, ServiceMode.COMBINED):
+            assert delay_report(params, mode).mean_service == pytest.approx(
+                0.002652529064876971, rel=1e-12)
+
+    @pytest.mark.parametrize("b_m", [1e16, 1e30])
+    def test_wideband_proprietary_limit(self, b_m):
+        # B log2(1 + X / coeff) tends to X / (k ln2), with coeff = k B, so a
+        # packet misses with probability 1 - exp(-k ln2 u_m n_m / t_out)
+        params = with_updates(PARAMS, b_m=b_m)
+        k = analytic._proprietary_coeff(params) / b_m
+        limit = -math.expm1(-k * math.log(2.0) * params.u_m * params.n_m / params.t_out)
+        tm = truncated_service_moments(params, ServiceMode.PROPRIETARY_ONLY)
+        assert tm.fail_prob == pytest.approx(limit, rel=1e-6)
 
     @pytest.mark.parametrize("changes", [{}, TINY_PROPRIETARY_BAND],
                              ids=["defaults", "tiny_proprietary_band"])
@@ -438,11 +521,7 @@ _FUZZ_SCENARIOS = st.builds(
     noise_psd=_log_uniform(1e-21, 1e-8), y0=_log_uniform(1.0, 100.0))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_FUZZ_SCENARIOS, st.sampled_from([ServiceMode.SHARED_ONLY,
-                                         ServiceMode.PROPRIETARY_ONLY]))
-def test_single_band_closed_forms_are_finite_or_typed_failures(params, mode):
-    # the combined mode is left out: its moments cost about 0.1 s each
+def _assert_finite_or_typed_failure(params, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ts = np.geomspace(params.t_out * 1e-4, params.t_out, 50)
@@ -458,3 +537,16 @@ def test_single_band_closed_forms_are_finite_or_typed_failures(params, mode):
     assert 0.0 <= report.mean_waiting and report.jitter >= 0.0
     assert report.mean_delay == report.mean_service + report.mean_waiting
     assert 0.0 <= report.load < 1.0 and 0.0 <= report.fail_prob <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FUZZ_SCENARIOS, st.sampled_from([ServiceMode.SHARED_ONLY,
+                                         ServiceMode.PROPRIETARY_ONLY]))
+def test_single_band_closed_forms_are_finite_or_typed_failures(params, mode):
+    _assert_finite_or_typed_failure(params, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FUZZ_SCENARIOS)
+def test_combined_closed_forms_are_finite_or_typed_failures(params):
+    _assert_finite_or_typed_failure(params, ServiceMode.COMBINED)

@@ -20,6 +20,7 @@ from specshare.cli import (
     run_sweep,
 )
 from specshare.model import ScenarioParams, ServiceMode, validate, with_updates
+from specshare.quadrature import QuadratureError
 from specshare.verify import check_trends
 
 PARAMS = validate(ScenarioParams())
@@ -566,7 +567,14 @@ class TestMain:
             assert f"error[{mode.value}]: queue unstable: load 1 >= 1" in captured.err
         assert "[combined] =" not in captured.out
 
-    def test_eval_underflowing_density_keeps_the_outage_cells(self, tmp_path, capsys):
+    def test_eval_underflowing_density_keeps_the_outage_cells(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the combined cell evaluates here; a failing one must still leave
+        # the outage cells printed
+        def failing(*args):
+            raise QuadratureError("tanh-sinh rule did not converge")
+
+        monkeypatch.setattr(analytic, "convolve_cdf_pdf", failing)
         config = tmp_path / "underflow.cfg"
         config.write_text(UNDERFLOWING_DENSITY_CONFIG)
         assert cli.main(["eval", "--config", str(config)]) == 1
@@ -633,20 +641,30 @@ class TestMain:
         assert all(row.split(",")[4] == "nan" for row in rows)
 
     @staticmethod
-    def _sweep_in_subprocess(*args):
-        # a subprocess bounds the wait should a point draw beyond the budget
+    def _cli_in_subprocess(*args):
+        # a subprocess bounds the wait should a point draw beyond the budget,
+        # and outlives a crash of the interpreter
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
-        return subprocess.run([sys.executable, "-m", "specshare.cli", "sweep", *args],
+        return subprocess.run([sys.executable, "-m", "specshare.cli", *args],
                               env=env, capture_output=True, text=True, timeout=30)
+
+    def test_deadline_whose_cube_overflows_exits_2(self, tmp_path):
+        # t^2 F(t) overflowed inside the moment quadrature here and killed the
+        # process with SIGBUS; validate now rejects the deadline
+        config = tmp_path / "deadline.cfg"
+        config.write_text("t_out_s = 2e154\nU_m_bytes = 3e298\n")
+        done = self._cli_in_subprocess("eval", "--config", str(config), "--mode", "proprietary")
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert "t_out ** 3 must be a finite float" in done.stderr
 
     def test_monte_carlo_beyond_the_field_budget_becomes_error_rows(self, tmp_path):
         # each field at 1e12 BSs/m^2 holds about 3e18 points: the point must
         # fail before drawing
         out = tmp_path / "budget.csv"
-        done = self._sweep_in_subprocess(
-            "--var", "lambda_h", "--from", "1e-4", "--to", "1e12", "--steps", "2",
+        done = self._cli_in_subprocess(
+            "sweep", "--var", "lambda_h", "--from", "1e-4", "--to", "1e12", "--steps", "2",
             "--trials", "10", "--metric", "outage_no_sharing", "--out", str(out))
         assert done.returncode == 1 and "Traceback" not in done.stderr
         assert ("error at lambda_h=1e+12 [outage_no_sharing]: outage simulation: "
@@ -663,8 +681,8 @@ class TestMain:
         out = tmp_path / "budget.csv"
         for bottom, top, packets, over_fields, outage_n in (
                 ("1e-4", "1e12", 10, 10, "0"), ("1e-6", "0.1", 10000, 9990, "10")):
-            done = self._sweep_in_subprocess(
-                "--var", "lambda_h", "--from", bottom, "--to", top, "--steps", "2",
+            done = self._cli_in_subprocess(
+                "sweep", "--var", "lambda_h", "--from", bottom, "--to", top, "--steps", "2",
                 "--packets", str(packets), "--trials", "10", "--out", str(out))
             assert done.returncode == 1 and "Traceback" not in done.stderr
             rows = [row.split(",") for row in out.read_text().splitlines()[1:]

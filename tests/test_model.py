@@ -107,6 +107,17 @@ def test_validate_rejects_path_loss_beyond_a_float(text, field):
         parse_config(text)
 
 
+@pytest.mark.parametrize("t_out", [1e154, 2e154])
+def test_validate_rejects_a_deadline_whose_cube_overflows(t_out):
+    # the third truncated moment reads t_out ** 3
+    with pytest.raises(ValidationError, match=r"t_out"):
+        validate(ScenarioParams(t_out=t_out))
+
+
+def test_validate_accepts_the_largest_cubable_deadline():
+    assert validate(ScenarioParams(t_out=5e102)).t_out == 5e102
+
+
 def test_validate_integer_counts():
     with pytest.raises(ValidationError, match="n_m"):
         validate(ScenarioParams(n_m=0))
