@@ -246,6 +246,16 @@ class TestServiceCdf:
                              for t in ts])
         assert np.all(combined >= shared - 1e-9)
 
+    def test_combined_cdf_never_falls_where_it_leaves_zero(self):
+        # a box scenario whose combined CDF read 1.1e-16 and then 0 as t grew,
+        # from the inner rule's rounding where the capacity CDF is 1 - 1e-20
+        params = with_updates(PARAMS, alpha=math.exp(0.75), t_out=math.exp(-4.0),
+                              lambda_h=math.exp(-7.0), b_h=math.exp(14.0),
+                              b_m=math.exp(18.5), n_m=1, noise_psd=math.exp(-19.0),
+                              y0=math.exp(2.0))
+        ts = np.geomspace(params.t_out * 1e-4, params.t_out, 50)
+        assert np.all(np.diff(service_cdf(params, ServiceMode.COMBINED, ts)) >= 0.0)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             service_cdf(PARAMS, ServiceMode.SHARED_ONLY, -1.0)
@@ -283,13 +293,16 @@ def _adaptive_inner_integral(params, z):
 
 
 # box scenarios (numpy seed 2027) where the shared CDF steps sharply inside
-# the level range (z / B_h of 74 and 438): unsplit, the rule needs step 1/128
-# and 1/256
+# the level range (z / B_h of 74, 438 and 1151): unsplit, the rule needs step
+# 1/128 and 1/256 at the first two; at the third, steps 1/8 and 1/16 alone
+# are 3e-7 off, so only the finer steps meet the tolerance
 SHARP_STEP_SCENARIOS = [
     (dict(alpha=2.4779, t_out=1.5906e-3, lambda_h=2.0893e-6, b_h=5.8039e6, b_m=1.4114e8,
           n_m=144, noise_psd=1.2543e-10, y0=2.3545), 4.2939e8),
     (dict(alpha=5.2650, t_out=1.7777e-3, lambda_h=5.8164e-6, b_h=3.9049e6, b_m=8.1665e8,
           n_m=124, noise_psd=3.9736e-12, y0=2.2943), 1.7108e9),
+    (dict(alpha=4.6232, t_out=3.2421e-2, lambda_h=5.1029e-4, b_h=1.0132e6, b_m=7.8009e8,
+          n_m=2, noise_psd=2.874e-14, y0=4.0701), 1.1659e9),
 ]
 
 
@@ -301,7 +314,8 @@ class TestCombinedInnerRule:
         assert capacity_cdf(params, ServiceMode.COMBINED, z) == pytest.approx(
             _adaptive_inner_integral(params, z), rel=10 * REL_TOL, abs=10 * ABS_TOL)
 
-    @pytest.mark.parametrize("changes, z", SHARP_STEP_SCENARIOS, ids=["z74bh", "z438bh"])
+    @pytest.mark.parametrize("changes, z", SHARP_STEP_SCENARIOS,
+                             ids=["z74bh", "z438bh", "z1151bh"])
     def test_sharp_shared_step_matches_the_adaptive_integral(self, changes, z):
         params = with_updates(PARAMS, **changes)
         assert capacity_cdf(params, ServiceMode.COMBINED, z) == pytest.approx(
