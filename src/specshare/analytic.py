@@ -247,10 +247,8 @@ def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
     proprietary capacity C2(x) = B_m log2(1 + x / coeff) is increasing in its
     Exp(1) level x and stays below z while x < coeff * expm1(z ln2 / B_m), so
     P(C1 + C2 <= z) is the integral of F1(z - C2(x)) e^(-x) over those levels,
-    stopped at _LEVEL_MAX. F1 turns from 0 to 1 around the shared band's median
-    rate, so the rule splits the levels where z - C2(x) reaches it. Where
-    x / coeff or expm1 would overflow, both maps work in logs (ln x - ln coeff
-    is then log1p(x / coeff) to within 1e-308).
+    stopped at _LEVEL_MAX. Where x / coeff or expm1 would overflow, both maps
+    work in logs (ln x - ln coeff is then log1p(x / coeff) to within 1e-308).
     """
     if mode is not ServiceMode.COMBINED:
         return _band_tail(params, mode)
@@ -260,31 +258,16 @@ def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
     shared_tail = _band_tail_array(params, ServiceMode.SHARED_ONLY)
     F1 = lambda tau: 1.0 - shared_tail(tau)
     scale, log_coeff = params.b_m / _LN2, math.log(coeff)
-    # the shared median rate B_h log2(1 + beta), beta where either exponent term
-    # alone reaches ln 2; in logs, as a coefficient may be 0, tiny or huge
-    c_noise, c_int = _shared_coeffs(params)
-    log_ln2 = math.log(_LN2)
-    log_beta = min(log_ln2 - math.log(c_noise) if c_noise > 0.0 else math.inf,
-                   0.5 * params.alpha * (log_ln2 - math.log(c_int)) if c_int > 0.0 else math.inf)
-    median_rate = params.b_h / _LN2 * float(np.logaddexp(0.0, log_beta))
 
-    if _LEVEL_MAX / coeff < math.inf:  # x / coeff is finite on every level
-        rate_of_level = lambda x: scale * np.log1p(x / coeff)
-    else:
-        def rate_of_level(x: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", divide="ignore"):  # x / coeff may overflow
-                ratio = x / coeff
-                return scale * np.where(ratio < math.inf, np.log1p(ratio),
-                                        np.log(x) - log_coeff)
-
-    def level_of_rate(rate: float) -> float:  # C2 reaches the rate at this level
-        e = rate / scale
-        return coeff * math.expm1(e) if e < 700.0 else math.exp(min(700.0, log_coeff + e))
+    def rate_of_level(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", divide="ignore"):  # x / coeff may overflow
+            ratio = x / coeff
+            return scale * np.where(ratio < math.inf, np.log1p(ratio), np.log(x) - log_coeff)
 
     def tail(z: float) -> float:
-        level = min(_LEVEL_MAX, max(0.0, level_of_rate(z)))
-        return 1.0 - convolve_cdf_pdf(F1, rate_of_level, z, level,
-                                      level_of_rate(z - median_rate))
+        e = z / scale
+        level = coeff * math.expm1(e) if e < 700.0 else math.exp(min(700.0, log_coeff + e))
+        return 1.0 - convolve_cdf_pdf(F1, rate_of_level, z, min(_LEVEL_MAX, max(0.0, level)))
 
     return tail
 

@@ -79,17 +79,16 @@ def _tanh_sinh_level(step: float, new_only: bool) -> tuple[np.ndarray, np.ndarra
 
 
 def _tanh_sinh_rule() -> list[tuple[np.ndarray, np.ndarray]]:
-    """The nodes of each pass and their weights, repeated for the two pieces the
-    integrand's rows hold. The first pass takes steps 1/8 and 1/16 together,
-    with one column of weights per step; each later pass halves the step."""
+    """The nodes of each pass and their weights. The first pass takes steps 1/8
+    and 1/16 together, with one column of weights per step; each later pass
+    halves the step."""
     nodes0, weights0 = _tanh_sinh_level(_TS_STEP, new_only=False)
     nodes1, weights1 = _tanh_sinh_level(_TS_STEP / 2, new_only=True)
-    passes = [(np.concatenate((nodes0, nodes1)),
-               np.column_stack((np.concatenate((weights0, np.zeros_like(weights1))),
-                                np.concatenate((0.5 * weights0, weights1)))))]
-    passes += [_tanh_sinh_level(_TS_STEP / 2 ** level, new_only=True)
-               for level in range(2, _TS_LEVELS)]
-    return [(nodes, np.concatenate((weights, weights))) for nodes, weights in passes]
+    first = (np.concatenate((nodes0, nodes1)),
+             np.column_stack((np.concatenate((weights0, np.zeros_like(weights1))),
+                              np.concatenate((0.5 * weights0, weights1)))))
+    return [first] + [_tanh_sinh_level(_TS_STEP / 2 ** level, new_only=True)
+                      for level in range(2, _TS_LEVELS)]
 
 
 _TS_PASSES = _tanh_sinh_rule()
@@ -97,40 +96,31 @@ _TS_PASSES = _tanh_sinh_rule()
 
 def convolve_cdf_pdf(F1: Callable[[np.ndarray], np.ndarray],
                      rate_of_level: Callable[[np.ndarray], np.ndarray],
-                     z: float, level_max: float, split: float) -> float:
+                     z: float, level_max: float) -> float:
     """CDF at z of C1 + C2 for independent nonnegative C1 and C2, where C1 has
     CDF F1 and C2 = rate_of_level(X) is increasing in an Exp(1) level X.
 
     Evaluates the integral over x in [0, level_max] of F1(z - rate_of_level(x))
     * e^(-x): the convolution of F1 with C2's law, written over C2's level.
     The caller passes as level_max the level at which C2 reaches z, capped
-    where the e^(-x) mass beyond it is negligible, and as split a level where
-    the integrand may turn sharply; a split outside (0, level_max) halves the
-    range instead. F1 and rate_of_level map numpy arrays elementwise.
+    where the e^(-x) mass beyond it is negligible. F1 and rate_of_level map
+    numpy arrays elementwise.
 
-    Both pieces take the tanh-sinh rule with step 1/8 and 1/16 in one pass;
-    while the last two steps disagree by more than REL_TOL (ABS_TOL near 0),
-    the step halves again. Raises QuadratureError past step 1/512. Each
-    estimate is the rule's ratio of the integral to that of e^(-x) alone, times
-    the exact Exp(1) mass below level_max: where F1 is 1 the rule gives that
-    mass to the bit, so the rule's rounding does not show in a CDF that is 1
-    to double precision.
+    The tanh-sinh rule takes steps 1/8 and 1/16 in one pass; while the last two
+    steps disagree by more than REL_TOL (ABS_TOL near 0), the step halves
+    again. Raises QuadratureError past step 1/512. Each estimate is the rule's
+    ratio of the integral to that of e^(-x) alone, times the exact Exp(1) mass
+    below level_max: where F1 is 1 the rule gives that mass to the bit, so the
+    rule's rounding does not show in a CDF that is 1 to double precision.
     """
     if level_max <= 0.0:
         return 0.0
-    if not 0.0 < split < level_max:
-        split = 0.5 * level_max
-    pieces = np.array([[0.0, split], [split, level_max - split]])  # start, width
-    starts, widths = pieces[:, :1], pieces[:, 1:]
-    shares = widths / level_max  # the ratio needs the widths only relative to each other
     mass = -math.expm1(-level_max)  # of the Exp(1) level below level_max
 
     def sums(nodes, weights):  # of the integrand and of e^(-x) alone
-        x = starts + widths * nodes  # one row per piece
-        terms = np.empty((2, *x.shape))
-        np.multiply(shares, np.exp(-x), out=terms[1])
-        np.multiply(terms[1], F1(z - rate_of_level(x)), out=terms[0])
-        return terms.reshape(2, -1) @ weights
+        x = level_max * nodes
+        density = np.exp(-x)
+        return np.stack((density * F1(z - rate_of_level(x)), density)) @ weights
 
     first, *finer = _TS_PASSES
     totals = sums(*first)  # columns: steps 1/8 and 1/16

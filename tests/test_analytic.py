@@ -293,9 +293,9 @@ def _adaptive_inner_integral(params, z):
 
 
 # box scenarios (numpy seed 2027) where the shared CDF steps sharply inside
-# the level range (z / B_h of 74, 438 and 1151): unsplit, the rule needs step
-# 1/128 and 1/256 at the first two; at the third, steps 1/8 and 1/16 alone
-# are 3e-7 off, so only the finer steps meet the tolerance
+# the level range (z / B_h of 74, 438 and 1151): the rule needs steps down to
+# 1/128, 1/256 and 1/128; steps 1/8 and 1/16 alone are 1e-5 to 3e-4 off, so
+# only the finer steps meet the tolerance
 SHARP_STEP_SCENARIOS = [
     (dict(alpha=2.4779, t_out=1.5906e-3, lambda_h=2.0893e-6, b_h=5.8039e6, b_m=1.4114e8,
           n_m=144, noise_psd=1.2543e-10, y0=2.3545), 4.2939e8),
