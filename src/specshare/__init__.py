@@ -16,12 +16,7 @@ from .model import (
     validate,
     with_updates,
 )
-from .quadrature import (
-    QuadratureError,
-    cdf_moment_integrals,
-    convolve_cdf_pdf,
-    integrate,
-)
+from .quadrature import QuadratureError
 from .geometry import FieldBudgetError, sample_interference_batch, sample_service_delays
 from .analytic import (
     DelayReport,
@@ -30,7 +25,6 @@ from .analytic import (
     UnstableQueueError,
     apply_power_budget,
     capacity_cdf,
-    capacity_pdf_proprietary,
     delay_report,
     max_mbs_power,
     mg1_waiting,

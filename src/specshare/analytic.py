@@ -207,39 +207,6 @@ def _band_tail_array(params: ScenarioParams, band: ServiceMode):
     return tail
 
 
-def _proprietary_pdf(params: ScenarioParams):
-    """Density of the proprietary-band capacity, as a plain-float function.
-
-    Computed in log space so the double-exponential tail underflows cleanly
-    to zero instead of producing inf * 0.
-    """
-    coeff = _proprietary_coeff(params)
-    if coeff == 0.0:  # no noise: capacity is almost surely infinite
-        return lambda u: 0.0
-    inv_bm = 1.0 / params.b_m
-    # a sum of logs: the product coeff * ln2 / b_m can underflow to zero
-    log_prefactor = math.log(coeff) + math.log(_LN2) - math.log(params.b_m)
-
-    def f2(u: float) -> float:
-        e = u * inv_bm
-        if e > 1020.0:
-            return 0.0
-        log_density = log_prefactor + e * _LN2 - coeff * math.expm1(e * _LN2)
-        if log_density < -745.0:
-            return 0.0
-        return math.exp(log_density)
-
-    return f2
-
-
-def proprietary_tail_cutoff(params: ScenarioParams, tail: float) -> float:
-    """Capacity beyond which the proprietary-band distribution holds < tail mass."""
-    coeff = _proprietary_coeff(params)
-    if coeff == 0.0:
-        return math.inf
-    return params.b_m * math.log2(1.0 + math.log(1.0 / tail) / coeff)
-
-
 def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
     """P(capacity > rate) for the mode, as a plain-float function of the rate.
 
@@ -279,22 +246,14 @@ def _service_cdf(params: ScenarioParams, mode: ServiceMode):
     return lambda t: tail(bits / t) if t > 0.0 else tail(math.inf)
 
 
-def _elementwise(law, x):
-    """Apply a plain-float law to a scalar, or to every element of an array
-    (keeping its shape)."""
-    if np.isscalar(x):
-        return law(float(x))
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(law, map(float, x.flat)), float, x.size).reshape(x.shape)
-
-
 def _tail_at(params: ScenarioParams, mode: ServiceMode, rate):
     """The mode's P(capacity > rate) at a scalar rate, or at every element of
     an array (keeping its shape): a single band through its array law, the
     combined mode one rate at a time."""
     if mode is ServiceMode.COMBINED:
-        return _elementwise(_capacity_tail(params, mode), rate)
-    tail = _band_tail_array(params, mode)(np.asarray(rate, dtype=float))
+        tail = np.vectorize(_capacity_tail(params, mode), otypes=[float])(rate)
+    else:
+        tail = _band_tail_array(params, mode)(np.asarray(rate, dtype=float))
     return float(tail) if np.isscalar(rate) else tail
 
 
@@ -302,11 +261,6 @@ def capacity_cdf(params: ScenarioParams, mode: ServiceMode, z):
     """CDF of the mode's capacity at z bits/s: the shared band B_h log2(1 + SINR),
     the proprietary band B_m log2(1 + SNR), or their sum (combined)."""
     return 1.0 - _tail_at(params, mode, z)
-
-
-def capacity_pdf_proprietary(params: ScenarioParams, tau):
-    """Density of the proprietary-band capacity at tau bits/s; integrates to one."""
-    return _elementwise(_proprietary_pdf(params), tau)
 
 
 def service_cdf(params: ScenarioParams, mode: ServiceMode, t):

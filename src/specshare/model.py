@@ -220,17 +220,21 @@ def parse_config(text: str) -> ScenarioParams:
         if key not in CONFIG_KEYS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
+        field_name, convert = CONFIG_KEYS[key]
+        if field_name in line_of:
+            problems.append(f"line {lineno}: key {key!r} given more than once "
+                            f"(lines {line_of[field_name]} and {lineno})")
+            continue
+        line_of[field_name] = lineno
         try:
             number = float(value_text)
         except ValueError:
             problems.append(f"line {lineno}: malformed number {value_text!r} for key {key!r}")
             continue
-        field_name, convert = CONFIG_KEYS[key]
         try:
             assigned[field_name] = convert(number)
         except (ValueError, OverflowError) as exc:
             problems.append(f"line {lineno}: {exc}")
-        line_of[field_name] = lineno
     if problems:
         raise ConfigError("; ".join(problems))
 

@@ -114,24 +114,46 @@ def check_service_cdf_match(params: ScenarioParams, n: int = 100_000,
                        passed, "; ".join(details) + " (tol 0.01)", elapsed)
 
 
+def capacity_means(params: ScenarioParams) -> tuple[float, dict[ServiceMode, float]]:
+    """A rate Z beyond which every mode's tail P(C > z) is below 1e-18, and
+    each mode's mean capacity, the integral of its tail over [0, Z]. Z is
+    doubled from 1 bit/s until every tail is below, then bisected ten times
+    between its last two values. It is inf, and no mean is computed, when a
+    capacity is infinite with positive probability."""
+    tails = {mode: analytic._capacity_tail(params, mode) for mode in ServiceMode}
+    beyond = lambda z: all(tail(z) < 1e-18 for tail in tails.values())
+    z_end = 1.0
+    while z_end < math.inf and not beyond(z_end):
+        z_end *= 2.0
+    lo = 0.5 * z_end
+    for _ in range(10):  # an infinite Z stays infinite
+        mid = 0.5 * (lo + z_end)
+        lo, z_end = (lo, mid) if beyond(mid) else (mid, z_end)
+    if z_end == math.inf:
+        return z_end, {}
+    return z_end, {mode: integrate(tail, 0.0, z_end) for mode, tail in tails.items()}
+
+
 def check_capacity_distributions(params: ScenarioParams) -> CheckResult:
-    """Proprietary capacity PDF integrates to one; shared capacity CDF is monotone."""
+    """Every capacity CDF is bounded and nondecreasing up to the support end
+    Z, and the combined law adds the band means: E[C1 + C2] = E[C1] + E[C2]."""
     start = time.monotonic()
-    pdf = lambda u: analytic.capacity_pdf_proprietary(params, u)
-    # split at the analytic tail cutoff: QAGI alone misses the narrow mass region
-    split = analytic.proprietary_tail_cutoff(params, tail=1e-16)
-    total = integrate(pdf, 0.0, split) + integrate(pdf, split, math.inf)
-    norm_ok = abs(total - 1.0) <= 1e-8
-    taus = np.linspace(0.0, 5e8, 1000)
-    f1 = analytic.capacity_cdf(params, ServiceMode.SHARED_ONLY, taus)
-    monotone = bool(np.all(np.diff(f1) >= -1e-15))
-    bounded = bool(np.all((f1 >= 0.0) & (f1 <= 1.0)))
+    name = "4 capacity distributions well-formed"
+    z_end, means = capacity_means(params)
+    if z_end == math.inf:
+        return CheckResult(name, False, "a capacity tail stays above 1e-18 up to the "
+                           "largest float: its mean is infinite", time.monotonic() - start)
+    bands = means[ServiceMode.SHARED_ONLY] + means[ServiceMode.PROPRIETARY_ONLY]
+    additivity = abs(means[ServiceMode.COMBINED] - bands) / bands
+    grid = np.linspace(0.0, z_end, 1000)
+    cdfs = [analytic.capacity_cdf(params, mode, grid) for mode in ServiceMode]
+    monotone = all(bool(np.all(np.diff(cdf) >= -1e-15)) for cdf in cdfs)
+    bounded = all(bool(np.all((cdf >= 0.0) & (cdf <= 1.0))) for cdf in cdfs)
     elapsed = time.monotonic() - start
     return CheckResult(
-        "4 capacity distributions well-formed",
-        norm_ok and monotone and bounded,
-        f"pdf mass {total:.12f} (tol 1e-8 around 1), CDF monotone={monotone} "
-        f"bounded={bounded} on 1000-point grid", elapsed)
+        name, additivity <= 1e-8 and monotone and bounded,
+        f"mean additivity error {additivity:.3g} (tol 1e-8), CDFs monotone={monotone} "
+        f"bounded={bounded} on a 1000-point grid to Z = {z_end:.4g} bits/s", elapsed)
 
 
 def check_queue_theory(params: ScenarioParams, packets: int = 1_000_000,

@@ -47,7 +47,7 @@ def test_criterion_3_service_cdf_match(params):
 
 
 def test_criterion_4_capacity_distributions(params):
-    # proprietary capacity PDF normalizes to 1e-8; shared capacity CDF monotone
+    # every capacity CDF bounded and monotone; combined mean = sum of band means to 1e-8
     _report(verify.check_capacity_distributions(params))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specshare import analytic, geometry, simulate
+from specshare import analytic, geometry, simulate, verify
 from specshare.analytic import (
     MOMENT_FIELDS,
     InfeasiblePowerError,
@@ -14,14 +14,12 @@ from specshare.analytic import (
     UnstableQueueError,
     apply_power_budget,
     capacity_cdf,
-    capacity_pdf_proprietary,
     delay_report,
     max_mbs_power,
     mg1_waiting,
     outage_increment,
     outage_no_sharing,
     outage_with_sharing,
-    proprietary_tail_cutoff,
     service_cdf,
     truncated_service_moments,
 )
@@ -38,8 +36,6 @@ PROP_CDF_AT_BREAKPOINT = 0.018665624561518938  # t = u_m n_m / b_m
 
 # a proprietary coefficient of 4e-308: the combined law must read as shared alone
 TINY_PROPRIETARY_BAND = dict(b_m=1e-300)
-# coeff * ln2 / b_m underflows to zero in the proprietary density
-UNDERFLOWING_DENSITY = dict(noise_psd=1e-300, y0=0.001, p_m=1e10, n_m=1000)
 # the shared interference coefficient overflows to inf: the shared band carries
 # nothing, so combined serves as proprietary alone
 DROWNED_SHARED_BAND = dict(lambda_h=1.4e222, p_m_shared=dbm_to_watts(-3000.0))
@@ -169,34 +165,18 @@ class TestCapacityDistributions:
         assert simulate.ks_distance(
             caps, lambda z: capacity_cdf(PARAMS, ServiceMode.SHARED_ONLY, z)) <= 0.01
 
-    def test_proprietary_pdf_normalizes(self):
-        pdf = lambda u: capacity_pdf_proprietary(PARAMS, u)
-        split = proprietary_tail_cutoff(PARAMS, tail=1e-16)
-        total = integrate(pdf, 0.0, split) + integrate(pdf, split, math.inf)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_proprietary_pdf_matches_cdf_derivative_at_origin(self):
-        h = 1.0  # bits/s, tiny against the 1e8 Hz band
-        cdf = lambda z: capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, z)
-        finite_difference = (cdf(h) - cdf(0.0)) / h
-        assert capacity_pdf_proprietary(PARAMS, 0.0) == pytest.approx(
-            finite_difference, rel=1e-6)
-
-    def test_proprietary_pdf_histogram_total_variation(self):
-        caps = geometry.sample_capacities(
-            PARAMS, (ServiceMode.PROPRIETARY_ONLY,), 100_000,
-            np.random.default_rng(42))[ServiceMode.PROPRIETARY_ONLY]
-        hi = proprietary_tail_cutoff(PARAMS, tail=1e-9)
-        edges = np.linspace(0.0, hi, 51)
-        observed, _ = np.histogram(np.minimum(caps, hi * 0.999999), bins=edges)
-        observed = observed / caps.size
-        expected = np.diff(capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, edges))
-        assert 0.5 * np.abs(observed - expected).sum() <= 0.02
-
-    def test_proprietary_pdf_survives_an_underflowing_prefactor(self):
-        params = with_updates(PARAMS, **UNDERFLOWING_DENSITY)
-        density = capacity_pdf_proprietary(params, np.geomspace(1.0, 1e12, 200))
-        assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
+    @pytest.mark.parametrize("changes", [
+        {}, dict(alpha=3.3), dict(b_m=3e7), dict(p_m_shared=0.3 * PARAMS.p_m_shared),
+        dict(lambda_h=1e-3), TINY_PROPRIETARY_BAND],
+        ids=["defaults", "alpha_3.3", "narrow_proprietary_band", "weak_shared_power",
+             "dense_interferers", "tiny_proprietary_band"])
+    def test_combined_mean_is_the_sum_of_the_band_means(self, changes):
+        # E[C1 + C2] = E[C1] + E[C2] for the independent bands; each mean is
+        # an adaptive integral of its tail, good to REL_TOL
+        z_end, means = verify.capacity_means(with_updates(PARAMS, **changes))
+        assert z_end < math.inf
+        bands = means[ServiceMode.SHARED_ONLY] + means[ServiceMode.PROPRIETARY_ONLY]
+        assert means[ServiceMode.COMBINED] == pytest.approx(bands, rel=1e-8)
 
     @pytest.mark.parametrize("band", [ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY])
     @pytest.mark.parametrize("changes", [
@@ -218,11 +198,6 @@ class TestCapacityDistributions:
         # numpy's power may differ from libm's by an ulp, which exp(-x) scales by x
         assert np.max(np.abs(got - expected)) <= 1e-15
         assert got[0] == got[1] == 1.0 and got[-1] == (1.0 if np.all(expected == 1.0) else 0.0)
-
-    def test_tail_cutoff_captures_requested_mass(self):
-        cutoff = proprietary_tail_cutoff(PARAMS, tail=1e-12)
-        tail = 1.0 - capacity_cdf(PARAMS, ServiceMode.PROPRIETARY_ONLY, cutoff)
-        assert tail == pytest.approx(1e-12, rel=1e-6)
 
 
 class TestServiceCdf:
@@ -535,6 +510,21 @@ _FUZZ_SCENARIOS = st.builds(
     noise_psd=_log_uniform(1e-21, 1e-8), y0=_log_uniform(1.0, 100.0))
 
 
+def _assert_band_invariants(params, rates, combined):
+    """The combined capacity CDF at the rates, against the band laws. C1 + C2
+    is at least either band's capacity, so its CDF is at most either band's;
+    and C1 + C2 <= z whenever C1 <= a z and C2 <= (1 - a) z, so by
+    independence its CDF is at least the product of those CDFs, at every
+    split a."""
+    shared = lambda z: capacity_cdf(params, ServiceMode.SHARED_ONLY, z)
+    proprietary = lambda z: capacity_cdf(params, ServiceMode.PROPRIETARY_ONLY, z)
+    assert np.all(combined <= np.minimum(shared(rates), proprietary(rates))
+                  * (1.0 + REL_TOL) + ABS_TOL)
+    for a in (0.25, 0.5, 0.75):
+        bound = shared(a * rates) * proprietary((1.0 - a) * rates)
+        assert np.all(combined >= bound - (REL_TOL * bound + ABS_TOL))
+
+
 def _assert_finite_or_typed_failure(params, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -542,6 +532,8 @@ def _assert_finite_or_typed_failure(params, mode):
         cdf = service_cdf(params, mode, ts)
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         assert np.all(np.diff(cdf) >= 0.0)
+        if mode is ServiceMode.COMBINED:
+            _assert_band_invariants(params, params.u_m * params.n_m / ts, 1.0 - cdf)
         try:
             report = delay_report(params, mode)
         except (UnstableQueueError, QuadratureError):

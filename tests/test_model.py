@@ -62,6 +62,13 @@ def test_parse_config_unknown_key_has_line_number():
         parse_config("alpha = 4\nbogus = 1\n")
 
 
+def test_parse_config_rejects_a_repeated_key_with_both_lines():
+    # the last line used to win silently: this evaluated at 30 dBm
+    with pytest.raises(ConfigError, match=r"line 3: key 'P_h_dbm' given more than once "
+                                          r"\(lines 1 and 3\)"):
+        parse_config("P_h_dbm = 20\nalpha = 4\nP_h_dbm = 30\n")
+
+
 def test_parse_config_rejects_trials_key():
     # the Monte Carlo trial count comes from `sweep --trials`, not the scenario
     with pytest.raises(ConfigError, match=r"line 1: unknown key 'trials'"):
