@@ -28,6 +28,7 @@ from .analytic import (
     delay_report,
     max_mbs_power,
     mg1_waiting,
+    moment_key,
     outage_increment,
     outage_no_sharing,
     outage_with_sharing,

@@ -9,7 +9,7 @@ Every formula here has an independent Monte Carlo counterpart in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -21,11 +21,6 @@ from .quadrature import cdf_moment_integrals, convolve_cdf_pdf
 # proprietary level where the combined-mode convolution stops (mass e^-50 past it)
 _LEVEL_MAX = 50.0
 _LN2 = math.log(2.0)
-
-# the link budget: every field the service moments read; the arrival rate
-# enters the delay only through the load
-MOMENT_FIELDS = ("p_h", "p_m", "p_m_shared", "y0", "b_h", "b_m", "noise_psd", "alpha",
-                 "u_m", "t_out", "lambda_h", "n_m")
 
 
 class UnstableQueueError(RuntimeError):
@@ -138,43 +133,52 @@ def apply_power_budget(params: ScenarioParams) -> ScenarioParams:
     return with_updates(params, p_m_shared=min(params.p_max, bound))
 
 
-def _shared_coeffs(params: ScenarioParams) -> tuple[float, float]:
+class MomentKey(NamedTuple):
+    """A mode's service law: all its truncated moments read (see moment_key)."""
+
+    bits: float   # u_m * n_m
+    t_out: float  # s
+    shared: tuple | None       # _band_law of each band
+    proprietary: tuple | None
+
+
+def _band_law(params: ScenarioParams, band: ServiceMode) -> tuple[float, float, float, float]:
+    """The width B, the interference exponent and the noise and interference
+    coefficients of one band (SHARED_ONLY or PROPRIETARY_ONLY); see _band_tail."""
     p = params
-    c_noise = p.y0 ** p.alpha * p.noise_psd * p.b_h / (p.p_m_shared * p.n_m)
+    shared = band is ServiceMode.SHARED_ONLY
+    width, power = (p.b_h, p.p_m_shared) if shared else (p.b_m, p.p_m)
+    c_noise = p.y0 ** p.alpha * p.noise_psd * width / (power * p.n_m)
+    if not shared:
+        return width, 1.0, c_noise, 0.0
     c_int = _interference_coeff(p.lambda_h, p.alpha) * p.y0 ** 2 \
         * (p.p_h / p.p_m_shared) ** (2.0 / p.alpha)
-    return c_noise, c_int
+    return width, 2.0 / p.alpha, c_noise, c_int
 
 
-def _proprietary_coeff(params: ScenarioParams) -> float:
-    p = params
-    return p.y0 ** p.alpha * p.noise_psd * p.b_m / (p.p_m * p.n_m)
+def moment_key(params: ScenarioParams, mode: ServiceMode) -> MomentKey:
+    """The mode's service law: the bits of a packet round, the deadline and
+    the law of each band the mode uses, None for the other. Nothing below
+    reads the scenario, and the moment cache is keyed on this law, so a field
+    no band of the mode reads, such as the arrival rate, shares its entry."""
+    shared, proprietary = ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY
+    return MomentKey(params.u_m * params.n_m, params.t_out,
+                     None if mode is proprietary else _band_law(params, shared),
+                     None if mode is shared else _band_law(params, proprietary))
 
 
-def _band_law(params: ScenarioParams, band: ServiceMode):
-    """1/B, the interference exponent, the noise and interference coefficients
-    and the tail's floor of one band (SHARED_ONLY or PROPRIETARY_ONLY)."""
-    if band is ServiceMode.SHARED_ONLY:
-        c_noise, c_int = _shared_coeffs(params)
-        inv_b, two_over_alpha = 1.0 / params.b_h, 2.0 / params.alpha
-    else:
-        c_noise, c_int = _proprietary_coeff(params), 0.0
-        inv_b, two_over_alpha = 1.0 / params.b_m, 1.0
-    floor = 1.0 if (c_noise == 0.0 and c_int == 0.0) else 0.0
-    return inv_b, two_over_alpha, c_noise, c_int, floor
-
-
-def _band_tail(params: ScenarioParams, band: ServiceMode):
-    """P(capacity > rate) on one band (SHARED_ONLY or PROPRIETARY_ONLY), as a
-    plain-float function of the rate in bits/s.
+def _band_tail(law: tuple):
+    """P(capacity > rate) on one band, as a plain-float function of the rate
+    in bits/s.
 
     The SINR threshold for rate r is beta = 2^(r/B) - 1, computed as
     expm1(r ln2 / B) so that it stays positive for the smallest rates; the
-    tail is exp(-(c_noise*beta + c_int*beta^(2/alpha))). Past the overflow and
+    tail is exp(-(c_noise*beta + c_int*beta^exponent)). Past the overflow and
     underflow guards it is exactly zero, or one when the band has neither
     noise nor interference.
     """
-    inv_b, two_over_alpha, c_noise, c_int, floor = _band_law(params, band)
+    width, exponent, c_noise, c_int = law
+    inv_b, floor = 1.0 / width, 1.0 if (c_noise == 0.0 and c_int == 0.0) else 0.0
 
     def tail(rate: float) -> float:
         e = rate * inv_b
@@ -183,7 +187,7 @@ def _band_tail(params: ScenarioParams, band: ServiceMode):
         if e > 1020.0:  # 2**e overflows; the exponent is astronomically large
             return floor
         beta = math.expm1(e * _LN2)
-        x = c_noise * beta + c_int * beta ** two_over_alpha
+        x = c_noise * beta + c_int * beta ** exponent
         if x >= 746.0:  # exp(-x) underflows, even to subnormals
             return floor
         return math.exp(-x)
@@ -191,15 +195,16 @@ def _band_tail(params: ScenarioParams, band: ServiceMode):
     return tail
 
 
-def _band_tail_array(params: ScenarioParams, band: ServiceMode):
+def _band_tail_array(law: tuple):
     """_band_tail as a function of a numpy array of rates, elementwise."""
-    inv_b, two_over_alpha, c_noise, c_int, floor = _band_law(params, band)
+    width, exponent, c_noise, c_int = law
+    inv_b, floor = 1.0 / width, 1.0 if (c_noise == 0.0 and c_int == 0.0) else 0.0
 
     def tail(rate: np.ndarray) -> np.ndarray:
         e = rate * inv_b
         with np.errstate(all="ignore"):  # where e <= 0 or x overflows, the guards decide
             beta = np.expm1(np.minimum(e, 1020.0) * _LN2)
-            x = c_noise * beta + c_int * beta ** two_over_alpha
+            x = c_noise * beta + c_int * beta ** exponent
             # exp(-x) is 0 from x = 746 on, as the scalar guard has it (x is 0
             # when the floor is 1)
             return np.where(e <= 0.0, 1.0, np.where(e > 1020.0, floor, np.exp(-x)))
@@ -207,7 +212,7 @@ def _band_tail_array(params: ScenarioParams, band: ServiceMode):
     return tail
 
 
-def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
+def _capacity_tail(key: MomentKey, mode: ServiceMode):
     """P(capacity > rate) for the mode, as a plain-float function of the rate.
 
     The combined capacity is the sum of the independent band capacities. The
@@ -218,13 +223,13 @@ def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
     work in logs (ln x - ln coeff is then log1p(x / coeff) to within 1e-308).
     """
     if mode is not ServiceMode.COMBINED:
-        return _band_tail(params, mode)
-    coeff = _proprietary_coeff(params)
+        return _band_tail(key.shared or key.proprietary)  # the one band it uses
+    width_m, _, coeff, _ = key.proprietary
     if coeff == 0.0:  # no noise: the proprietary capacity is almost surely infinite
         return lambda z: 1.0
-    shared_tail = _band_tail_array(params, ServiceMode.SHARED_ONLY)
+    shared_tail = _band_tail_array(key.shared)
     F1 = lambda tau: 1.0 - shared_tail(tau)
-    scale, log_coeff = params.b_m / _LN2, math.log(coeff)
+    scale, log_coeff = width_m / _LN2, math.log(coeff)
 
     def rate_of_level(x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", divide="ignore"):  # x / coeff may overflow
@@ -239,28 +244,28 @@ def _capacity_tail(params: ScenarioParams, mode: ServiceMode):
     return tail
 
 
-def _service_cdf(params: ScenarioParams, mode: ServiceMode):
+def _service_cdf(key: MomentKey, mode: ServiceMode):
     # the service delay is at most t exactly when the capacity exceeds u_m * n_m / t
-    tail = _capacity_tail(params, mode)
-    bits = params.u_m * params.n_m
+    tail = _capacity_tail(key, mode)
+    bits = key.bits
     return lambda t: tail(bits / t) if t > 0.0 else tail(math.inf)
 
 
-def _tail_at(params: ScenarioParams, mode: ServiceMode, rate):
+def _tail_at(key: MomentKey, mode: ServiceMode, rate):
     """The mode's P(capacity > rate) at a scalar rate, or at every element of
     an array (keeping its shape): a single band through its array law, the
     combined mode one rate at a time."""
     if mode is ServiceMode.COMBINED:
-        tail = np.vectorize(_capacity_tail(params, mode), otypes=[float])(rate)
+        tail = np.vectorize(_capacity_tail(key, mode), otypes=[float])(rate)
     else:
-        tail = _band_tail_array(params, mode)(np.asarray(rate, dtype=float))
+        tail = _band_tail_array(key.shared or key.proprietary)(np.asarray(rate, dtype=float))
     return float(tail) if np.isscalar(rate) else tail
 
 
 def capacity_cdf(params: ScenarioParams, mode: ServiceMode, z):
     """CDF of the mode's capacity at z bits/s: the shared band B_h log2(1 + SINR),
     the proprietary band B_m log2(1 + SNR), or their sum (combined)."""
-    return 1.0 - _tail_at(params, mode, z)
+    return 1.0 - _tail_at(moment_key(params, mode), mode, z)
 
 
 def service_cdf(params: ScenarioParams, mode: ServiceMode, t):
@@ -271,28 +276,24 @@ def service_cdf(params: ScenarioParams, mode: ServiceMode, t):
     """
     if np.any(np.asarray(t) < 0):
         raise ValueError("service delay argument must be nonnegative")
+    key = moment_key(params, mode)
     with np.errstate(divide="ignore"):  # t = 0 asks for an infinite rate
-        rate = params.u_m * params.n_m / np.asarray(t, dtype=float)
-    return _tail_at(params, mode, float(rate) if np.isscalar(t) else rate)
-
-
-def moment_key(params: ScenarioParams) -> ScenarioParams:
-    """The scenario with every field outside MOMENT_FIELDS at its default:
-    scenarios that share a link budget share one moment-cache entry."""
-    return replace(ScenarioParams(), **{f: getattr(params, f) for f in MOMENT_FIELDS})
+        rate = key.bits / np.asarray(t, dtype=float)
+    return _tail_at(key, mode, float(rate) if np.isscalar(t) else rate)
 
 
 @lru_cache(maxsize=256)
-def truncated_service_moments(params: ScenarioParams, mode: ServiceMode) -> TruncatedMoments:
-    """First three moments of min(S, t_out) plus the deadline-miss probability.
+def truncated_service_moments(key: MomentKey, mode: ServiceMode) -> TruncatedMoments:
+    """First three moments of min(S, t_out) plus the deadline-miss probability,
+    for the service law key = moment_key(params, mode).
 
     The k-th truncated moment is t_out^k minus k times the integral of
-    t^(k-1) F(t) over [0, t_out]. Results are cached on params, so callers
-    pass moment_key(params), as delay_report does; a lambda_md sweep then
-    computes each mode's moments once.
+    t^(k-1) F(t) over [0, t_out]. Results are cached on the law, so a
+    lambda_md sweep computes each mode's moments once, and a sweep of a
+    shared-band field computes the proprietary moments once.
     """
-    F = _service_cdf(params, mode)
-    t_out = params.t_out
+    F = _service_cdf(key, mode)
+    t_out = key.t_out
     on_time = F(t_out)
     i1, i2, i3 = cdf_moment_integrals(F, t_out)
     return TruncatedMoments(
@@ -329,7 +330,7 @@ def delay_report(params: ScenarioParams, mode: ServiceMode) -> DelayReport:
     Takes the effective scenario: params.p_m_shared is used as given, so a
     caller with an outage tolerance passes apply_power_budget(params).
     """
-    tm = truncated_service_moments(moment_key(params), mode)
+    tm = truncated_service_moments(moment_key(params, mode), mode)
     wt = mg1_waiting(tm, params.lambda_md)
     service_variance = max(0.0, tm.m2 - tm.m1 ** 2)
     return DelayReport(

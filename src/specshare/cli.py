@@ -65,6 +65,9 @@ _DELAY_FIELDS = {"mean_delay": ("mean_delay", "mean_sojourn", "se_mean_sojourn")
                  "jitter": ("jitter", "sojourn_variance", "se_sojourn_variance")}
 
 CSV_HEADER = "variable,value,metric,mode,analytic,sim_mean,sim_ci_lo,sim_ci_hi,n"
+# a grid point keeps up to eight rows, about 4.6 KB, until the CSV is written
+# (measured on a lambda_md sweep): the longest sweep holds about 460 MB
+MAX_STEPS = 100_000
 
 
 def _reject_repeats(option: str, values) -> None:
@@ -93,8 +96,8 @@ class SweepSpec:
             raise ValueError(f"sweep bounds must be finite, got {self.start} to {self.stop}")
         if not self.start < self.stop:
             raise ValueError("sweep start must be below stop")
-        if self.steps < 2:
-            raise ValueError("sweep needs at least 2 steps")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"sweep needs 2 to {MAX_STEPS} steps, got {self.steps}")
         for name in ("trials", "packets", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

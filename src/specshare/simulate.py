@@ -102,16 +102,23 @@ def estimate_outage_mc(params: ScenarioParams, n_trials: int,
 
 
 def ks_distance(samples, cdf) -> float:
-    """Sup-norm distance between the empirical CDF of samples and a reference
-    CDF, taken on both sides of every jump."""
+    """Sup-norm distance between the empirical CDF of samples and the CDF of a
+    law on [0, inf), taken on both sides of every jump. Tied samples make one
+    jump, whose foot is compared with the law's left limit there: its value
+    at the next float below, or 0 at zero."""
     ordered = np.sort(np.asarray(samples, dtype=float))
     n = ordered.size
     if n == 0:
         raise ValueError("ks_distance needs at least one sample")
     reference = np.asarray(cdf(ordered), dtype=float)
     upper = np.arange(1, n + 1) / n
-    return float(np.max(np.maximum(np.abs(reference - upper),
-                                   np.abs(reference - upper + 1.0 / n))))
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # of equal samples
+    last = np.concatenate((first[1:], [True]))
+    below = np.nextafter(ordered[first & ~last], -math.inf)  # each tie's next float down
+    left = reference.copy()
+    left[first & ~last] = np.where(below < 0.0, 0.0, cdf(np.maximum(below, 0.0)))
+    return float(max(np.max(np.abs(reference - upper)[last]),
+                     np.max(np.abs(left - upper + 1.0 / n)[first])))
 
 
 def lindley_waits(arrival_times, services) -> np.ndarray:

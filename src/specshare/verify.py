@@ -102,7 +102,8 @@ def check_service_cdf_match(params: ScenarioParams, n: int = 100_000,
     delays = geometry.sample_service_delays(params, tuple(ServiceMode), n,
                                             np.random.default_rng(seed))
     for mode, samples in delays.items():
-        if mode is ServiceMode.COMBINED:
+        # a zero delay, an infinite capacity, leaves the interpolant no grid
+        if mode is ServiceMode.COMBINED and samples.min() > 0.0:
             reference = _combined_cdf_interpolant(params, float(samples.min()))
         else:
             reference = partial(analytic.service_cdf, params, mode)
@@ -120,7 +121,8 @@ def capacity_means(params: ScenarioParams) -> tuple[float, dict[ServiceMode, flo
     doubled from 1 bit/s until every tail is below, then bisected ten times
     between its last two values. It is inf, and no mean is computed, when a
     capacity is infinite with positive probability."""
-    tails = {mode: analytic._capacity_tail(params, mode) for mode in ServiceMode}
+    tails = {mode: analytic._capacity_tail(analytic.moment_key(params, mode), mode)
+             for mode in ServiceMode}
     beyond = lambda z: all(tail(z) < 1e-18 for tail in tails.values())
     z_end = 1.0
     while z_end < math.inf and not beyond(z_end):
@@ -158,7 +160,8 @@ def check_capacity_distributions(params: ScenarioParams) -> CheckResult:
 
 def check_queue_theory(params: ScenarioParams, packets: int = 1_000_000,
                        seed: int = 303) -> CheckResult:
-    """Event-driven queue statistics match the closed-form delay and jitter."""
+    """Event-driven queue statistics match the closed-form delay and jitter. A
+    case fails, with its reason, when no arrival rate loads its mode to rho."""
     start = time.monotonic()
     cases = [
         (ServiceMode.PROPRIETARY_ONLY, 0.2, 0.03),
@@ -170,8 +173,14 @@ def check_queue_theory(params: ScenarioParams, packets: int = 1_000_000,
     details = []
     passed = True
     for k, (mode, rho, tol) in enumerate(cases):
-        moments = analytic.truncated_service_moments(analytic.moment_key(params), mode)
-        scenario = with_updates(params, lambda_md=rho / moments.m1)
+        m1 = analytic.truncated_service_moments(analytic.moment_key(params, mode), mode).m1
+        lambda_md = rho / m1 if m1 > 0.0 else math.inf
+        if lambda_md == math.inf:
+            passed = False
+            details.append(f"{mode.value}@rho{rho}: mean service {m1:.3g} s, so no "
+                           f"arrival rate gives load {rho}")
+            continue
+        scenario = with_updates(params, lambda_md=lambda_md)
         report = analytic.delay_report(scenario, mode)
         stats = simulate.run_mg1(scenario, (mode,), packets,
                                  np.random.default_rng(seed + k))[mode]

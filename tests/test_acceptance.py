@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from specshare import cli, verify
-from specshare.model import ScenarioParams, validate
+from specshare.model import ScenarioParams, validate, with_updates
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,29 @@ def test_criterion_4_capacity_distributions(params):
 def test_criterion_5_queue_theory(params):
     # 1e6-packet event simulation matches closed-form delay and jitter
     _report(verify.check_queue_theory(params))
+
+
+@pytest.fixture(scope="module")
+def noise_free():
+    # N0 = 0: the proprietary capacity is infinite, so every proprietary and
+    # combined service delay is 0.0
+    return with_updates(ScenarioParams(), noise_psd=0.0)
+
+
+def test_noise_free_service_cdfs_match_the_atom_at_zero(noise_free):
+    result = verify.check_service_cdf_match(noise_free)
+    assert result.passed, result.detail
+    assert "proprietary: sup-norm 0.0000" in result.detail
+    assert "combined: sup-norm 0.0000" in result.detail
+
+
+def test_noise_free_queue_cases_no_rate_can_load_fail_with_their_reason(noise_free):
+    result = verify.check_queue_theory(noise_free, packets=20_000)
+    assert not result.passed
+    for case in ("proprietary@rho0.2", "proprietary@rho0.5", "proprietary@rho0.8",
+                 "combined@rho0.5"):
+        assert f"{case}: mean service 0 s, so no arrival rate gives load" in result.detail
+    assert "shared@rho0.5: mean" in result.detail
 
 
 def test_criterion_6_classical_oracles():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from specshare import analytic, geometry, simulate, verify
 from specshare.analytic import (
-    MOMENT_FIELDS,
     InfeasiblePowerError,
     TruncatedMoments,
     UnstableQueueError,
@@ -17,6 +16,7 @@ from specshare.analytic import (
     delay_report,
     max_mbs_power,
     mg1_waiting,
+    moment_key,
     outage_increment,
     outage_no_sharing,
     outage_with_sharing,
@@ -192,9 +192,10 @@ class TestCapacityDistributions:
         width = params.b_h if band is ServiceMode.SHARED_ONLY else params.b_m
         e = np.concatenate(([-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-17], np.geomspace(1e-12, 1e3, 301),
                             [1020.0, np.nextafter(1020.0, 2e3), 2e3, math.inf]))
-        scalar = analytic._band_tail(params, band)
+        law = analytic._band_law(params, band)
+        scalar = analytic._band_tail(law)
         expected = np.array([scalar(rate) for rate in (e * width).tolist()])
-        got = analytic._band_tail_array(params, band)(e * width)
+        got = analytic._band_tail_array(law)(e * width)
         # numpy's power may differ from libm's by an ulp, which exp(-x) scales by x
         assert np.max(np.abs(got - expected)) <= 1e-15
         assert got[0] == got[1] == 1.0 and got[-1] == (1.0 if np.all(expected == 1.0) else 0.0)
@@ -259,8 +260,8 @@ class TestServiceCdf:
 def _adaptive_inner_integral(params, z):
     """P(C1 + C2 <= z) from the scalar adaptive integral over the proprietary
     level that the tanh-sinh rule replaced."""
-    coeff = analytic._proprietary_coeff(params)
-    shared_tail = analytic._band_tail(params, ServiceMode.SHARED_ONLY)
+    coeff = analytic._band_law(params, ServiceMode.PROPRIETARY_ONLY)[2]
+    shared_tail = analytic._band_tail(analytic._band_law(params, ServiceMode.SHARED_ONLY))
     scale = params.b_m / math.log(2.0)
     level = min(analytic._LEVEL_MAX, coeff * math.expm1(z / scale))
     return integrate(lambda x: (1.0 - shared_tail(z - scale * math.log1p(x / coeff)))
@@ -297,10 +298,14 @@ class TestCombinedInnerRule:
             _adaptive_inner_integral(params, z), rel=10 * REL_TOL, abs=10 * ABS_TOL)
 
 
+def _moments(params, mode):
+    return truncated_service_moments(moment_key(params, mode), mode)
+
+
 class TestTruncatedMoments:
     def test_instant_service_limit(self):
         fast = with_updates(PARAMS, p_m=1e30)
-        tm = truncated_service_moments(fast, ServiceMode.PROPRIETARY_ONLY)
+        tm = _moments(fast, ServiceMode.PROPRIETARY_ONLY)
         assert tm.m1 <= 1e-6 * PARAMS.t_out
         assert tm.m2 <= 1e-6 * PARAMS.t_out ** 2
         assert tm.fail_prob <= 1e-9
@@ -308,14 +313,14 @@ class TestTruncatedMoments:
     @pytest.mark.parametrize("mode", [ServiceMode.PROPRIETARY_ONLY, ServiceMode.COMBINED])
     def test_noiseless_proprietary_band_serves_instantly(self, mode):
         # no noise: the proprietary capacity is infinite, so is the combined one
-        tm = truncated_service_moments(with_updates(PARAMS, noise_psd=0.0), mode)
+        tm = _moments(with_updates(PARAMS, noise_psd=0.0), mode)
         assert tm.fail_prob == 0.0
         for k, m in enumerate((tm.m1, tm.m2, tm.m3), start=1):
             assert 0.0 <= m <= 1e-12 * PARAMS.t_out ** k
 
     def test_never_completing_service_limit(self):
         stalled = with_updates(PARAMS, p_m=1e-30)
-        tm = truncated_service_moments(stalled, ServiceMode.PROPRIETARY_ONLY)
+        tm = _moments(stalled, ServiceMode.PROPRIETARY_ONLY)
         assert tm.m1 == pytest.approx(PARAMS.t_out, rel=1e-9)
         assert tm.m2 == pytest.approx(PARAMS.t_out ** 2, rel=1e-9)
         assert tm.m3 == pytest.approx(PARAMS.t_out ** 3, rel=1e-9)
@@ -323,14 +328,14 @@ class TestTruncatedMoments:
 
     def test_moment_invariants(self):
         for mode in ServiceMode:
-            tm = truncated_service_moments(PARAMS, mode)
+            tm = _moments(PARAMS, mode)
             assert 0.0 <= tm.m1 <= PARAMS.t_out
             assert tm.m2 <= PARAMS.t_out * tm.m1
             assert tm.m3 <= PARAMS.t_out * tm.m2
             assert 0.0 <= tm.fail_prob <= 1.0
 
     def test_first_moment_against_sample_mean(self):
-        tm = truncated_service_moments(PARAMS, ServiceMode.PROPRIETARY_ONLY)
+        tm = _moments(PARAMS, ServiceMode.PROPRIETARY_ONLY)
         delays = geometry.sample_service_delays(
             PARAMS, (ServiceMode.PROPRIETARY_ONLY,), 1_000_000,
             np.random.default_rng(43))[ServiceMode.PROPRIETARY_ONLY]
@@ -341,7 +346,7 @@ class TestTruncatedMoments:
         # 1e300 devices: no level of either band carries the load by t_out,
         # so every packet misses its deadline
         saturated = with_updates(PARAMS, n_m=10 ** 300)
-        tm = truncated_service_moments(saturated, ServiceMode.COMBINED)
+        tm = _moments(saturated, ServiceMode.COMBINED)
         t = PARAMS.t_out
         assert tm == TruncatedMoments(t, t ** 2, t ** 3, 1.0)
         with pytest.raises(UnstableQueueError, match="load 1 >= 1"):
@@ -367,9 +372,9 @@ class TestTruncatedMoments:
         # B log2(1 + X / coeff) tends to X / (k ln2), with coeff = k B, so a
         # packet misses with probability 1 - exp(-k ln2 u_m n_m / t_out)
         params = with_updates(PARAMS, b_m=b_m)
-        k = analytic._proprietary_coeff(params) / b_m
+        k = analytic._band_law(params, ServiceMode.PROPRIETARY_ONLY)[2] / b_m
         limit = -math.expm1(-k * math.log(2.0) * params.u_m * params.n_m / params.t_out)
-        tm = truncated_service_moments(params, ServiceMode.PROPRIETARY_ONLY)
+        tm = _moments(params, ServiceMode.PROPRIETARY_ONLY)
         assert tm.fail_prob == pytest.approx(limit, rel=1e-6)
 
     @pytest.mark.parametrize("changes", [{}, TINY_PROPRIETARY_BAND],
@@ -378,22 +383,19 @@ class TestTruncatedMoments:
         # C1 + C2 exceeds each band's capacity on every draw; the two sides are
         # separate quadratures, each good to REL_TOL
         params = with_updates(PARAMS, **changes)
-        combined = truncated_service_moments(params, ServiceMode.COMBINED)
+        combined = _moments(params, ServiceMode.COMBINED)
         for band in (ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY):
-            single = truncated_service_moments(params, band)
+            single = _moments(params, band)
             for name in ("m1", "m2", "m3", "fail_prob"):
                 assert getattr(combined, name) <= getattr(single, name) * (1.0 + REL_TOL)
 
 
 class TestMomentKey:
-    """delay_report caches the moments on moment_key(params). A field the
-    moments read but the key drops would return another scenario's moments
-    without any error; a field the key keeps but the moments ignore would
-    split the cache."""
-
-    @staticmethod
-    def _moments(params):
-        return [truncated_service_moments.__wrapped__(params, mode) for mode in ServiceMode]
+    """delay_report caches each mode's moments on moment_key(params, mode). A
+    field the mode's law reads but the key drops would return another
+    scenario's moments without any error; a field the key keeps but the law
+    ignores would split the cache. The Monte Carlo oracle reads the scenario
+    itself, so it says which fields the law reads."""
 
     @staticmethod
     def _perturbed(name):
@@ -402,16 +404,26 @@ class TestMomentKey:
             return 0.012
         return value + 1 if isinstance(value, int) else value * 1.5
 
-    def test_key_is_complete_and_minimal(self):
-        base = self._moments(PARAMS)
-        names = [f.name for f in fields(ScenarioParams)]
-        assert set(MOMENT_FIELDS) <= set(names)
-        for name in names:
-            moved = self._moments(replace(PARAMS, **{name: self._perturbed(name)}))
-            if name in MOMENT_FIELDS:
-                assert moved != base, name
-            else:
-                assert moved == base, name
+    @staticmethod
+    def _law(params, mode):
+        """The mode's key, its uncached moments, and the oracle's view: the
+        deadline and a seeded draw of the mode's service delays."""
+        key = moment_key(params, mode)
+        delays = geometry.sample_service_delays(params, (mode,), 1000,
+                                                np.random.default_rng(7))[mode]
+        return key, truncated_service_moments.__wrapped__(key, mode), (params.t_out, delays)
+
+    @pytest.mark.parametrize("mode", list(ServiceMode), ids=lambda mode: mode.value)
+    def test_key_moves_exactly_when_the_moments_and_the_oracle_do(self, mode):
+        base_key, base_moments, (base_t_out, base_delays) = self._law(PARAMS, mode)
+        for name in (f.name for f in fields(ScenarioParams)):
+            if name == "mc_radius":  # the oracle's disk; the closed forms cover the plane
+                continue
+            key, moments, (t_out, delays) = self._law(
+                replace(PARAMS, **{name: self._perturbed(name)}), mode)
+            moved = key != base_key
+            assert (moments != base_moments) == moved, name
+            assert (t_out != base_t_out or not np.array_equal(delays, base_delays)) == moved, name
 
 
 class TestWaiting:
@@ -436,7 +448,7 @@ class TestWaiting:
 class TestDelayReport:
     def test_no_arrivals_leaves_bare_service(self):
         idle = with_updates(PARAMS, lambda_md=0.0)
-        tm = truncated_service_moments(idle, ServiceMode.PROPRIETARY_ONLY)
+        tm = _moments(idle, ServiceMode.PROPRIETARY_ONLY)
         report = delay_report(idle, ServiceMode.PROPRIETARY_ONLY)
         assert report.mean_delay == tm.m1
         assert report.jitter == pytest.approx(tm.m2 - tm.m1 ** 2, rel=1e-12)

@@ -66,6 +66,19 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("lambda_h", 0.0, 1.0, 1)
 
+    def test_rejects_a_step_count_past_the_bound(self):
+        SweepSpec("lambda_h", 0.0, 1.0, cli.MAX_STEPS)  # builds no grid
+        with pytest.raises(ValueError, match="steps"):
+            SweepSpec("lambda_h", 0.0, 1.0, cli.MAX_STEPS + 1)
+
+    def test_huge_step_count_exits_2_before_any_grid(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        status = cli.main(["sweep", "--var", "lambda_md", "--from", "20", "--to", "50",
+                           "--steps", "1000000000000", "--out", str(out)])
+        assert status == 2
+        assert f"2 to {cli.MAX_STEPS} steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             SweepSpec("lambda_h", 1e-5, 1e-4, 2, seed=-1)
@@ -157,6 +170,13 @@ class TestRunSweep:
             assert analytic.truncated_service_moments.cache_info().misses == 3
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_power_sweep_computes_the_proprietary_moments_once(self):
+        # P_h moves the shared band's law only: four shared and four combined
+        # evaluations, and one proprietary evaluation for all four points
+        analytic.truncated_service_moments.cache_clear()
+        run_sweep(SweepSpec("P_h", 20.0, 30.0, 4, metrics=cli.DELAY_METRICS), PARAMS)
+        assert analytic.truncated_service_moments.cache_info().misses == 9
 
     def test_closed_forms_on_the_calling_thread_monte_carlo_in_the_pool(self, monkeypatch):
         # analytic and its moment cache are used from one thread only

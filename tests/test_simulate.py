@@ -58,6 +58,14 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             ks_distance([], lambda t: t)
 
+    def test_ks_distance_takes_tied_samples_as_one_jump(self):
+        # half the samples sit on the law's atom at zero, where both CDFs step
+        # from 0 to 1/2; counting each zero as a jump of its own read 0.5
+        samples = np.concatenate((np.zeros(10_000),
+                                  np.random.default_rng(12).exponential(size=10_000)))
+        law = lambda t: 0.5 + 0.5 * (1.0 - np.exp(-np.asarray(t)))
+        assert ks_distance(samples, law) <= 1.63 / math.sqrt(20_000)  # 1% KS critical value
+
     def test_ks_against_own_cdf_is_small(self):
         rng = np.random.default_rng(6)
         distance = ks_distance(rng.exponential(size=20_000),
@@ -78,7 +86,8 @@ class TestEmpiricalDistribution:
     def test_truncated_mean_tracks_analytic(self):
         delays = geometry.sample_service_delays(PARAMS, (PROPRIETARY,), 200_000,
                                                 np.random.default_rng(9))[PROPRIETARY]
-        tm = analytic.truncated_service_moments(PARAMS, PROPRIETARY)
+        tm = analytic.truncated_service_moments(
+            analytic.moment_key(PARAMS, PROPRIETARY), PROPRIETARY)
         capped = np.minimum(delays, PARAMS.t_out)
         m1 = float(np.mean(capped))
         m2 = float(np.mean(capped ** 2))
@@ -157,7 +166,8 @@ class TestQueueRun:
         assert np.all(combined <= shared) and np.all(combined <= proprietary)
 
     def test_waiting_converges_to_pk_formula_across_loads(self):
-        moments = analytic.truncated_service_moments(PARAMS, PROPRIETARY)
+        moments = analytic.truncated_service_moments(
+            analytic.moment_key(PARAMS, PROPRIETARY), PROPRIETARY)
         for k, (rho, tol) in enumerate([(0.2, 0.03), (0.5, 0.03), (0.8, 0.05)]):
             scenario = with_updates(PARAMS, lambda_md=rho / moments.m1)
             expected = analytic.mg1_waiting(moments, scenario.lambda_md).mean
@@ -166,7 +176,8 @@ class TestQueueRun:
             assert stats.mean_waiting == pytest.approx(expected, rel=tol)
 
     def test_fail_fraction_matches_closed_form(self):
-        tm = analytic.truncated_service_moments(PARAMS, PROPRIETARY)
+        tm = analytic.truncated_service_moments(
+            analytic.moment_key(PARAMS, PROPRIETARY), PROPRIETARY)
         stats = run_mg1(PARAMS, (PROPRIETARY,), 200_000, np.random.default_rng(15))[PROPRIETARY]
         kept = stats.n_packets - stats.warmup_discarded
         se = math.sqrt(tm.fail_prob * (1 - tm.fail_prob) / kept)
