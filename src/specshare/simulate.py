@@ -114,9 +114,10 @@ def ks_distance(samples, cdf) -> float:
     upper = np.arange(1, n + 1) / n
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # of equal samples
     last = np.concatenate((first[1:], [True]))
-    below = np.nextafter(ordered[first & ~last], -math.inf)  # each tie's next float down
-    left = reference.copy()
-    left[first & ~last] = np.where(below < 0.0, 0.0, cdf(np.maximum(below, 0.0)))
+    tied = first & ~last
+    below = np.nextafter(ordered[tied], -math.inf)  # the float below each tie
+    left = reference.copy()  # the law just below each jump
+    left[tied] = np.where(below < 0.0, 0.0, cdf(np.maximum(below, 0.0)))
     return float(max(np.max(np.abs(reference - upper)[last]),
                      np.max(np.abs(left - upper + 1.0 / n)[first])))
 
