@@ -167,9 +167,10 @@ def moment_key(params: ScenarioParams, mode: ServiceMode) -> MomentKey:
                      None if mode is shared else _band_law(params, proprietary))
 
 
-def _band_tail(law: tuple):
+def _band_tail(law: tuple, array: bool = False):
     """P(capacity > rate) on one band, as a plain-float function of the rate
-    in bits/s.
+    in bits/s, or with array=True as an elementwise function of a numpy array
+    of rates.
 
     The SINR threshold for rate r is beta = 2^(r/B) - 1, computed as
     expm1(r ln2 / B) so that it stays positive for the smallest rates; the
@@ -192,15 +193,7 @@ def _band_tail(law: tuple):
             return floor
         return math.exp(-x)
 
-    return tail
-
-
-def _band_tail_array(law: tuple):
-    """_band_tail as a function of a numpy array of rates, elementwise."""
-    width, exponent, c_noise, c_int = law
-    inv_b, floor = 1.0 / width, 1.0 if (c_noise == 0.0 and c_int == 0.0) else 0.0
-
-    def tail(rate: np.ndarray) -> np.ndarray:
+    def tail_array(rate: np.ndarray) -> np.ndarray:
         e = rate * inv_b
         with np.errstate(all="ignore"):  # where e <= 0 or x overflows, the guards decide
             beta = np.expm1(np.minimum(e, 1020.0) * _LN2)
@@ -209,7 +202,7 @@ def _band_tail_array(law: tuple):
             # when the floor is 1)
             return np.where(e <= 0.0, 1.0, np.where(e > 1020.0, floor, np.exp(-x)))
 
-    return tail
+    return tail_array if array else tail
 
 
 def _capacity_tail(key: MomentKey, mode: ServiceMode):
@@ -227,7 +220,7 @@ def _capacity_tail(key: MomentKey, mode: ServiceMode):
     width_m, _, coeff, _ = key.proprietary
     if coeff == 0.0:  # no noise: the proprietary capacity is almost surely infinite
         return lambda z: 1.0
-    shared_tail = _band_tail_array(key.shared)
+    shared_tail = _band_tail(key.shared, array=True)
     F1 = lambda tau: 1.0 - shared_tail(tau)
     scale, log_coeff = width_m / _LN2, math.log(coeff)
 
@@ -258,7 +251,7 @@ def _tail_at(key: MomentKey, mode: ServiceMode, rate):
     if mode is ServiceMode.COMBINED:
         tail = np.vectorize(_capacity_tail(key, mode), otypes=[float])(rate)
     else:
-        tail = _band_tail_array(key.shared or key.proprietary)(np.asarray(rate, dtype=float))
+        tail = _band_tail(key.shared or key.proprietary, array=True)(np.asarray(rate, dtype=float))
     return float(tail) if np.isscalar(rate) else tail
 
 

@@ -105,11 +105,15 @@ def ks_distance(samples, cdf) -> float:
     """Sup-norm distance between the empirical CDF of samples and the CDF of a
     law on [0, inf), taken on both sides of every jump. Tied samples make one
     jump, whose foot is compared with the law's left limit there: its value
-    at the next float below, or 0 at zero."""
+    at the next float below, or 0 at zero. Only a run of two or more equal
+    samples gets the left limit, so the law may have an atom only where
+    samples tie."""
     ordered = np.sort(np.asarray(samples, dtype=float))
     n = ordered.size
     if n == 0:
         raise ValueError("ks_distance needs at least one sample")
+    if ordered[0] < 0.0:
+        raise ValueError("ks_distance compares with a law on [0, inf); a sample is negative")
     reference = np.asarray(cdf(ordered), dtype=float)
     upper = np.arange(1, n + 1) / n
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # of equal samples

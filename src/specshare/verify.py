@@ -174,13 +174,12 @@ def check_queue_theory(params: ScenarioParams, packets: int = 1_000_000,
     passed = True
     for k, (mode, rho, tol) in enumerate(cases):
         m1 = analytic.truncated_service_moments(analytic.moment_key(params, mode), mode).m1
-        lambda_md = rho / m1 if m1 > 0.0 else math.inf
-        if lambda_md == math.inf:
+        if not (m1 > 0.0 and rho / m1 < math.inf):
             passed = False
             details.append(f"{mode.value}@rho{rho}: mean service {m1:.3g} s, so no "
                            f"arrival rate gives load {rho}")
             continue
-        scenario = with_updates(params, lambda_md=lambda_md)
+        scenario = with_updates(params, lambda_md=rho / m1)
         report = analytic.delay_report(scenario, mode)
         stats = simulate.run_mg1(scenario, (mode,), packets,
                                  np.random.default_rng(seed + k))[mode]

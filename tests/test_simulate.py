@@ -58,6 +58,10 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             ks_distance([], lambda t: t)
 
+    def test_ks_distance_rejects_negative_sample(self):
+        with pytest.raises(ValueError, match="negative"):
+            ks_distance([0.5, -1e-300], lambda t: t)
+
     def test_ks_distance_takes_tied_samples_as_one_jump(self):
         # half the samples sit on the law's atom at zero, where both CDFs step
         # from 0 to 1/2; counting each zero as a jump of its own read 0.5
