@@ -156,11 +156,13 @@ def _band_law(params: ScenarioParams, band: ServiceMode) -> tuple[float, float, 
     return width, 2.0 / p.alpha, c_noise, c_int
 
 
-def moment_key(params: ScenarioParams, mode: ServiceMode) -> MomentKey:
+def moment_key(params: ScenarioParams, mode: ServiceMode | str) -> MomentKey:
     """The mode's service law: the bits of a packet round, the deadline and
     the law of each band the mode uses, None for the other. Nothing below
-    reads the scenario, and the moment cache is keyed on this law, so a field
-    no band of the mode reads, such as the arrival rate, shares its entry."""
+    reads the scenario or the mode, and the moment cache is keyed on this
+    law, so a field no band of the mode reads, such as the arrival rate,
+    shares its entry. mode is a ServiceMode or its name, else ValueError."""
+    mode = ServiceMode(mode)
     shared, proprietary = ServiceMode.SHARED_ONLY, ServiceMode.PROPRIETARY_ONLY
     return MomentKey(params.u_m * params.n_m, params.t_out,
                      None if mode is proprietary else _band_law(params, shared),
@@ -205,8 +207,10 @@ def _band_tail(law: tuple, array: bool = False):
     return tail_array if array else tail
 
 
-def _capacity_tail(key: MomentKey, mode: ServiceMode):
-    """P(capacity > rate) for the mode, as a plain-float function of the rate.
+def _capacity_tail(key: MomentKey, array: bool = False):
+    """P(capacity > rate) for the law of key, as a plain-float function of the
+    rate, or with array=True as an elementwise function of a numpy array of
+    rates (the combined law one rate at a time).
 
     The combined capacity is the sum of the independent band capacities. The
     proprietary capacity C2(x) = B_m log2(1 + x / coeff) is increasing in its
@@ -215,11 +219,11 @@ def _capacity_tail(key: MomentKey, mode: ServiceMode):
     stopped at _LEVEL_MAX. Where x / coeff or expm1 would overflow, both maps
     work in logs (ln x - ln coeff is then log1p(x / coeff) to within 1e-308).
     """
-    if mode is not ServiceMode.COMBINED:
-        return _band_tail(key.shared or key.proprietary)  # the one band it uses
+    if key.shared is None or key.proprietary is None:
+        return _band_tail(key.shared or key.proprietary, array)  # the one band it holds
     width_m, _, coeff, _ = key.proprietary
     if coeff == 0.0:  # no noise: the proprietary capacity is almost surely infinite
-        return lambda z: 1.0
+        return np.vectorize(lambda z: 1.0, otypes=[float]) if array else lambda z: 1.0
     shared_tail = _band_tail(key.shared, array=True)
     F1 = lambda tau: 1.0 - shared_tail(tau)
     scale, log_coeff = width_m / _LN2, math.log(coeff)
@@ -234,45 +238,37 @@ def _capacity_tail(key: MomentKey, mode: ServiceMode):
         level = coeff * math.expm1(e) if e < 700.0 else math.exp(min(700.0, log_coeff + e))
         return 1.0 - convolve_cdf_pdf(F1, rate_of_level, z, min(_LEVEL_MAX, max(0.0, level)))
 
-    return tail
+    return np.vectorize(tail, otypes=[float]) if array else tail
 
 
-def _service_cdf(key: MomentKey, mode: ServiceMode):
+def _service_cdf(key: MomentKey):
     # the service delay is at most t exactly when the capacity exceeds u_m * n_m / t
-    tail = _capacity_tail(key, mode)
+    tail = _capacity_tail(key)
     bits = key.bits
     return lambda t: tail(bits / t) if t > 0.0 else tail(math.inf)
 
 
-def _tail_at(key: MomentKey, mode: ServiceMode, rate):
-    """The mode's P(capacity > rate) at a scalar rate, or at every element of
-    an array (keeping its shape): a single band through its array law, the
-    combined mode one rate at a time."""
-    if mode is ServiceMode.COMBINED:
-        tail = np.vectorize(_capacity_tail(key, mode), otypes=[float])(rate)
-    else:
-        tail = _band_tail(key.shared or key.proprietary, array=True)(np.asarray(rate, dtype=float))
-    return float(tail) if np.isscalar(rate) else tail
-
-
-def capacity_cdf(params: ScenarioParams, mode: ServiceMode, z):
+def capacity_cdf(params: ScenarioParams, mode: ServiceMode | str, z):
     """CDF of the mode's capacity at z bits/s: the shared band B_h log2(1 + SINR),
-    the proprietary band B_m log2(1 + SNR), or their sum (combined)."""
-    return 1.0 - _tail_at(moment_key(params, mode), mode, z)
+    the proprietary band B_m log2(1 + SNR), or their sum (combined). A scalar z
+    gives a float, an array one of its shape."""
+    tail = _capacity_tail(moment_key(params, mode), array=True)(np.asarray(z, dtype=float))
+    return 1.0 - (float(tail) if np.isscalar(z) else tail)
 
 
-def service_cdf(params: ScenarioParams, mode: ServiceMode, t):
+def service_cdf(params: ScenarioParams, mode: ServiceMode | str, t):
     """CDF of the per-packet service delay at time t for the given mode.
 
     Equals one minus the mode's capacity CDF evaluated at the required rate
-    u_m * n_m / t.
+    u_m * n_m / t. A scalar t gives a float, an array one of its shape.
     """
     if np.any(np.asarray(t) < 0):
         raise ValueError("service delay argument must be nonnegative")
     key = moment_key(params, mode)
     with np.errstate(divide="ignore"):  # t = 0 asks for an infinite rate
         rate = key.bits / np.asarray(t, dtype=float)
-    return _tail_at(key, mode, float(rate) if np.isscalar(t) else rate)
+    tail = _capacity_tail(key, array=True)(rate)
+    return float(tail) if np.isscalar(rate) else tail
 
 
 @lru_cache(maxsize=256)
@@ -283,9 +279,11 @@ def truncated_service_moments(key: MomentKey, mode: ServiceMode) -> TruncatedMom
     The k-th truncated moment is t_out^k minus k times the integral of
     t^(k-1) F(t) over [0, t_out]. Results are cached on the law, so a
     lambda_md sweep computes each mode's moments once, and a sweep of a
-    shared-band field computes the proprietary moments once.
+    shared-band field computes the proprietary moments once. The law is read
+    from key alone; mode only labels the cache entry, and stays because the
+    specbench tracer records each call's mode by that argument name.
     """
-    F = _service_cdf(key, mode)
+    F = _service_cdf(key)
     t_out = key.t_out
     on_time = F(t_out)
     i1, i2, i3 = cdf_moment_integrals(F, t_out)
@@ -317,12 +315,13 @@ def mg1_waiting(moments: TruncatedMoments, lambda_md: float) -> WaitingTime:
     return WaitingTime(mean, variance)
 
 
-def delay_report(params: ScenarioParams, mode: ServiceMode) -> DelayReport:
+def delay_report(params: ScenarioParams, mode: ServiceMode | str) -> DelayReport:
     """Mean delay and jitter of the downlink queue in the given mode.
 
     Takes the effective scenario: params.p_m_shared is used as given, so a
     caller with an outage tolerance passes apply_power_budget(params).
     """
+    mode = ServiceMode(mode)
     tm = truncated_service_moments(moment_key(params, mode), mode)
     wt = mg1_waiting(tm, params.lambda_md)
     service_variance = max(0.0, tm.m2 - tm.m1 ** 2)

@@ -84,7 +84,7 @@ class SweepSpec:
     stop: float
     steps: int
     metrics: tuple[str, ...] = METRICS
-    modes: tuple[ServiceMode, ...] = tuple(ServiceMode)
+    modes: tuple[ServiceMode, ...] = tuple(ServiceMode)  # or their names
     trials: int = 0   # Monte Carlo trials per outage point; 0 = analytic only
     packets: int = 0  # simulated packets per delay point; 0 = analytic only
     seed: int = 0
@@ -96,6 +96,9 @@ class SweepSpec:
             raise ValueError(f"sweep bounds must be finite, got {self.start} to {self.stop}")
         if not self.start < self.stop:
             raise ValueError("sweep start must be below stop")
+        for name in ("steps", "trials", "packets", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ValueError(f"sweep needs 2 to {MAX_STEPS} steps, got {self.steps}")
         for name in ("trials", "packets", "seed"):
@@ -105,6 +108,7 @@ class SweepSpec:
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
         _reject_repeats("metric", self.metrics)
+        object.__setattr__(self, "modes", tuple(ServiceMode(mode) for mode in self.modes))
         _reject_repeats("mode", [mode.value for mode in self.modes])
 
     def grid(self) -> list[float]:
@@ -336,9 +340,8 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     base = _load_params(args.config)
     metrics = tuple(args.metric) if args.metric else METRICS
-    modes = tuple(ServiceMode(m) for m in args.mode) if args.mode else tuple(ServiceMode)
     spec = SweepSpec(variable=args.var, start=args.start, stop=args.stop,
-                     steps=args.steps, metrics=metrics, modes=modes,
+                     steps=args.steps, metrics=metrics, modes=tuple(args.mode or ServiceMode),
                      trials=args.trials, packets=args.packets,
                      seed=args.seed if args.seed is not None else base.seed)
     table = run_sweep(spec, base)

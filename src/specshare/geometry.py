@@ -95,13 +95,15 @@ def sample_interference_batch(power: float, density: float, radius: float,
     return out
 
 
-def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n: int,
+def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode | str, ...], n: int,
                       rng: np.random.Generator,
                       interference: np.ndarray | None = None) -> dict[ServiceMode, np.ndarray]:
     """n draws of each mode's bandwidth-scaled capacity (bits/s), the
-    denominator of its service delay: the proprietary band from rng, the
-    shared band from rng.spawn(1)[0], combined their sum. So the modes share
-    link states packet by packet, and no mode's draws depend on the others.
+    denominator of its service delay, keyed by ServiceMode: the proprietary
+    band from rng, the shared band from rng.spawn(1)[0], combined their sum.
+    So the modes share link states packet by packet, and no mode's draws
+    depend on the others. Each mode is a ServiceMode or its name, else
+    ValueError.
 
     The shared band reads its n fields from interference, an array of at
     least n fields drawn with this scenario's law (a sweep passes the fields
@@ -109,6 +111,7 @@ def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n:
     draws its own n.
     """
     p = params
+    modes = tuple(ServiceMode(mode) for mode in modes)
     bands = {}
     if any(mode is not ServiceMode.SHARED_ONLY for mode in modes):
         g0 = rng.exponential(size=n)
@@ -131,11 +134,12 @@ def sample_capacities(params: ScenarioParams, modes: tuple[ServiceMode, ...], n:
     return {mode: bands[mode] for mode in modes}
 
 
-def sample_service_delays(params: ScenarioParams, modes: tuple[ServiceMode, ...], n: int,
+def sample_service_delays(params: ScenarioParams, modes: tuple[ServiceMode | str, ...], n: int,
                           rng: np.random.Generator,
                           interference: np.ndarray | None = None) -> dict[ServiceMode, np.ndarray]:
-    """n i.i.d. per-packet service delays (s) of each mode; +inf on zero
-    capacity. interference is passed to sample_capacities."""
+    """n i.i.d. per-packet service delays (s) of each mode, keyed by
+    ServiceMode; +inf on zero capacity. modes and interference are passed to
+    sample_capacities."""
     with np.errstate(divide="ignore"):
         return {mode: params.u_m * params.n_m / capacities for mode, capacities
                 in sample_capacities(params, modes, n, rng, interference).items()}

@@ -178,14 +178,15 @@ def queue_stats_from_trace(interarrivals, raw_services, t_out: float,
     )
 
 
-def run_mg1(params: ScenarioParams, modes: tuple[ServiceMode, ...], n_packets: int,
+def run_mg1(params: ScenarioParams, modes: tuple[ServiceMode | str, ...], n_packets: int,
             rng: np.random.Generator,
             interference: np.ndarray | None = None) -> dict[ServiceMode, QueueStats]:
     """Simulate the MTC downlink queue in each mode: Poisson arrivals, fresh
     per-packet service delays, FCFS, deadline truncation; statistics with
-    error bars. All modes share the arrivals and band draws, from independent
-    sub-streams of rng, so a seed reproduces each mode whatever the others.
-    interference, the shared band's fields, goes to sample_service_delays.
+    error bars, keyed by ServiceMode. All modes share the arrivals and band
+    draws, from independent sub-streams of rng, so a seed reproduces each
+    mode whatever the others. modes and interference, the shared band's
+    fields, go to sample_service_delays.
     """
     if params.lambda_md <= 0:
         raise ValueError("lambda_md must be positive to drive arrivals")
@@ -205,7 +206,7 @@ def run_mg1(params: ScenarioParams, modes: tuple[ServiceMode, ...], n_packets: i
     return stats
 
 
-def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode, n_packets: int,
+def run_mg1_detailed(params: ScenarioParams, mode: ServiceMode | str, n_packets: int,
                      rng: np.random.Generator) -> QueueStats:
     """run_mg1 for one mode, under the name specbench/layers.py traces."""
-    return run_mg1(params, (mode,), n_packets, rng)[mode]
+    return run_mg1(params, (mode,), n_packets, rng)[ServiceMode(mode)]

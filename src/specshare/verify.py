@@ -121,7 +121,7 @@ def capacity_means(params: ScenarioParams) -> tuple[float, dict[ServiceMode, flo
     doubled from 1 bit/s until every tail is below, then bisected ten times
     between its last two values. It is inf, and no mean is computed, when a
     capacity is infinite with positive probability."""
-    tails = {mode: analytic._capacity_tail(analytic.moment_key(params, mode), mode)
+    tails = {mode: analytic._capacity_tail(analytic.moment_key(params, mode))
              for mode in ServiceMode}
     beyond = lambda z: all(tail(z) < 1e-18 for tail in tails.values())
     z_end = 1.0
@@ -382,9 +382,10 @@ def check_trends(table: cli.SweepTable) -> list[CheckResult]:
     return checks
 
 
-def _trend_figure(name: str, tables: list[cli.SweepTable], start: float) -> CheckResult:
-    """Fold the trend checks of one figure's sweeps into a single result."""
-    checks = [c for table in tables for c in check_trends(table)]
+def _trend_figure(name: str, runs: list[tuple[cli.SweepSpec, ScenarioParams]]) -> CheckResult:
+    """Run one figure's sweeps and fold their trend checks into a single result."""
+    start = time.monotonic()
+    checks = [c for spec, base in runs for c in check_trends(cli.run_sweep(spec, base))]
     failing = [c for c in checks if not c.passed]
     if failing:
         detail = "; ".join(f"{c.name}: {c.detail}" for c in failing)
@@ -400,50 +401,34 @@ def check_trend_suite(params: ScenarioParams, seed: int = 505) -> list[CheckResu
     value: a tolerance would re-cap it at every point and pin outage_sharing
     at epsilon, so they run without one. Figure 7d sweeps the tolerance itself.
     """
-    results = []
     shared_modes = (ServiceMode.SHARED_ONLY, ServiceMode.COMBINED)
     versus_modes = (ServiceMode.PROPRIETARY_ONLY, ServiceMode.COMBINED)
     fixed_power = with_updates(params, epsilon=None)
-
-    start = time.monotonic()
-    flat_spec = cli.SweepSpec("P_h", 24.0, 40.0, 11, metrics=cli.OUTAGE_METRICS,
-                              trials=100_000, seed=seed)
-    noise_free_spec = cli.SweepSpec("P_h", 24.0, 40.0, 11,
-                                    metrics=("outage_no_sharing",), seed=seed)
-    results.append(_trend_figure("7a outage vs HBS power", [
-        cli.run_sweep(flat_spec, fixed_power),
-        cli.run_sweep(noise_free_spec, with_updates(fixed_power, noise_psd=0.0))], start))
-
-    start = time.monotonic()
-    results.append(_trend_figure("7b outage vs HBS density", [cli.run_sweep(
-        cli.SweepSpec("lambda_h", 1e-5, 1e-3, 11, metrics=cli.OUTAGE_METRICS, seed=seed),
-        fixed_power)], start))
-
-    start = time.monotonic()
-    results.append(_trend_figure("7c outage vs MBS shared power", [cli.run_sweep(
-        cli.SweepSpec("P_m_shared", 10.0, 30.0, 11, metrics=cli.OUTAGE_METRICS, seed=seed),
-        fixed_power)], start))
-
-    start = time.monotonic()
-    results.append(_trend_figure("7d delay/jitter vs outage tolerance", [cli.run_sweep(
-        cli.SweepSpec("epsilon", 0.006, 0.03, 11, metrics=cli.DELAY_METRICS,
-                      modes=shared_modes, seed=seed),
-        params)], start))
-
-    start = time.monotonic()
-    results.append(_trend_figure("7e delay/jitter vs arrival rate", [cli.run_sweep(
-        cli.SweepSpec("lambda_md", 20.0, 200.0, 10, metrics=cli.DELAY_METRICS,
-                      modes=versus_modes, seed=seed),
-        params)], start))
-
-    start = time.monotonic()
-    # jitter grows with density only once waiting variance dominates; the
-    # default arrival rate (100/s) sits in that regime
-    results.append(_trend_figure("7f delay/jitter vs device density", [cli.run_sweep(
-        cli.SweepSpec("lambda_mu", 0.005, 0.02, 10, metrics=cli.DELAY_METRICS,
-                      modes=versus_modes, seed=seed),
-        params)], start))
-    return results
+    outage, delay = cli.OUTAGE_METRICS, cli.DELAY_METRICS
+    figures = [
+        ("7a outage vs HBS power", [
+            (cli.SweepSpec("P_h", 24.0, 40.0, 11, metrics=outage, trials=100_000, seed=seed),
+             fixed_power),
+            (cli.SweepSpec("P_h", 24.0, 40.0, 11, metrics=("outage_no_sharing",), seed=seed),
+             with_updates(fixed_power, noise_psd=0.0))]),
+        ("7b outage vs HBS density", [
+            (cli.SweepSpec("lambda_h", 1e-5, 1e-3, 11, metrics=outage, seed=seed), fixed_power)]),
+        ("7c outage vs MBS shared power", [
+            (cli.SweepSpec("P_m_shared", 10.0, 30.0, 11, metrics=outage, seed=seed),
+             fixed_power)]),
+        ("7d delay/jitter vs outage tolerance", [
+            (cli.SweepSpec("epsilon", 0.006, 0.03, 11, metrics=delay, modes=shared_modes,
+                           seed=seed), params)]),
+        ("7e delay/jitter vs arrival rate", [
+            (cli.SweepSpec("lambda_md", 20.0, 200.0, 10, metrics=delay, modes=versus_modes,
+                           seed=seed), params)]),
+        # jitter grows with density only once waiting variance dominates; the
+        # default arrival rate (100/s) sits in that regime
+        ("7f delay/jitter vs device density", [
+            (cli.SweepSpec("lambda_mu", 0.005, 0.02, 10, metrics=delay, modes=versus_modes,
+                           seed=seed), params)]),
+    ]
+    return [_trend_figure(name, runs) for name, runs in figures]
 
 
 def check_determinism(params: ScenarioParams, seed: int = 606) -> CheckResult:

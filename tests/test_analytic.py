@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specshare import analytic, geometry, simulate, verify
+from specshare import analytic, cli, geometry, simulate, verify
 from specshare.analytic import (
     InfeasiblePowerError,
     TruncatedMoments,
@@ -255,6 +255,11 @@ class TestServiceCdf:
             assert cap.shape == zs.shape
             assert cap.tolist() == [[capacity_cdf(PARAMS, mode, float(z)) for z in row]
                                     for row in zs]
+            for cdf_of, x in ((service_cdf, 1e-3), (capacity_cdf, 1e8)):
+                scalar = cdf_of(PARAMS, mode, x)
+                assert type(scalar) is float
+                zero_d = cdf_of(PARAMS, mode, np.array(x))
+                assert np.shape(zero_d) == () and zero_d == scalar
 
 
 def _adaptive_inner_integral(params, z):
@@ -424,6 +429,41 @@ class TestMomentKey:
             if name != "mc_radius":  # the oracle's disk; the closed forms cover the plane
                 assert (t_out != base_t_out
                         or not np.array_equal(delays, base_delays)) == moved, name
+
+
+def _as_lists(samples):
+    return {mode: values.tolist() for mode, values in samples.items()}
+
+
+# every public entry point that takes a mode, called with one mode
+MODE_ENTRY_POINTS = {
+    "moment_key": lambda mode: moment_key(PARAMS, mode),
+    "delay_report": lambda mode: delay_report(PARAMS, mode),
+    "capacity_cdf": lambda mode: capacity_cdf(PARAMS, mode, 1e8),
+    "service_cdf": lambda mode: service_cdf(PARAMS, mode, 1e-3),
+    "sample_capacities": lambda mode: _as_lists(geometry.sample_capacities(
+        PARAMS, (mode,), 100, np.random.default_rng(1))),
+    "sample_service_delays": lambda mode: _as_lists(geometry.sample_service_delays(
+        PARAMS, (mode,), 100, np.random.default_rng(1))),
+    "run_mg1": lambda mode: simulate.run_mg1(PARAMS, (mode,), 200, np.random.default_rng(1)),
+    "run_mg1_detailed": lambda mode: simulate.run_mg1_detailed(PARAMS, mode, 200,
+                                                                np.random.default_rng(1)),
+    "SweepSpec": lambda mode: cli.SweepSpec("lambda_md", 20.0, 50.0, 2, modes=(mode,)),
+}
+
+
+@pytest.mark.parametrize("mode", list(ServiceMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
+def test_entry_points_take_a_mode_or_its_name_and_nothing_else(entry, mode):
+    """A mode's name computes exactly that mode, with results keyed by
+    ServiceMode; an unknown name is a ValueError, never another mode."""
+    call = MODE_ENTRY_POINTS[entry]
+    by_name = call(mode.value)
+    assert by_name == call(mode)
+    if isinstance(by_name, dict):
+        assert list(by_name) == [mode]
+    with pytest.raises(ValueError, match="'bogus'"):
+        call("bogus")
 
 
 class TestWaiting:

@@ -88,6 +88,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=field):
             SweepSpec("lambda_h", 1e-5, 1e-4, 2, **{field: -5})
 
+    @pytest.mark.parametrize("field, value", [("steps", 3.0), ("trials", 100.5),
+                                              ("packets", 50.5), ("seed", 1.5)])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            SweepSpec("lambda_h", 1e-5, 1e-4, **{"steps": 2, field: value})
+
     @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1e-4),
                                         (math.nan, 1e-4)])
     def test_rejects_non_finite_bounds(self, bounds):

@@ -82,8 +82,7 @@ def test_cdf_moment_integrals_ordering():
 def test_cdf_moment_integrals_evaluates_each_node_once():
     # the three rules share most nodes; each distinct t costs one combined-mode
     # convolution, and sharing must not change a bit of the three integrals
-    F = analytic._service_cdf(analytic.moment_key(PARAMS, ServiceMode.COMBINED),
-                              ServiceMode.COMBINED)
+    F = analytic._service_cdf(analytic.moment_key(PARAMS, ServiceMode.COMBINED))
     nodes = []
 
     def counted(t):
