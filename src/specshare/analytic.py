@@ -196,8 +196,8 @@ def _band_tail(law: tuple, array: bool = False):
         return math.exp(-x)
 
     def tail_array(rate: np.ndarray) -> np.ndarray:
-        e = rate * inv_b
-        with np.errstate(all="ignore"):  # where e <= 0 or x overflows, the guards decide
+        with np.errstate(all="ignore"):  # where e <= 0, or e or x overflows, the guards decide
+            e = rate * inv_b
             beta = np.expm1(np.minimum(e, 1020.0) * _LN2)
             x = c_noise * beta + c_int * beta ** exponent
             # exp(-x) is 0 from x = 746 on, as the scalar guard has it (x is 0
@@ -234,7 +234,7 @@ def _capacity_tail(key: MomentKey, array: bool = False):
             return scale * np.where(ratio < math.inf, np.log1p(ratio), np.log(x) - log_coeff)
 
     def tail(z: float) -> float:
-        e = z / scale
+        e = float(z) / scale  # a plain float overflows to inf without a warning
         level = coeff * math.expm1(e) if e < 700.0 else math.exp(min(700.0, log_coeff + e))
         return 1.0 - convolve_cdf_pdf(F1, rate_of_level, z, min(_LEVEL_MAX, max(0.0, level)))
 

@@ -18,9 +18,10 @@ once (``simulate.draw_outage_trials``), and each point scales the unit-power
 fields by its P_h: the outage trials from child 0 of SeedSequence(seed), and
 the queue's fields beyond them (--packets above --trials) from child 0's first
 child. Child 1 + i drives point i's queue run, so output is byte-identical
-regardless of worker count; SPECSHARE_THREADS caps the worker pool. A draw
-beyond the budget (``geometry.MAX_FIELD_POINTS``) fails only the cells of its
-point that read it: the proprietary queue cells read none and are simulated.
+regardless of worker count; SPECSHARE_THREADS, at most MAX_THREADS, caps the
+worker pool. A draw beyond the budget (``geometry.MAX_FIELD_POINTS``) fails
+only the cells of its point that read it: the proprietary queue cells read
+none and are simulated.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ CSV_HEADER = "variable,value,metric,mode,analytic,sim_mean,sim_ci_lo,sim_ci_hi,n
 # a grid point keeps up to eight rows, about 4.6 KB, until the CSV is written
 # (measured on a lambda_md sweep): the longest sweep holds about 460 MB
 MAX_STEPS = 100_000
+# a busy pool starts a thread per submitted point, up to its size
+MAX_THREADS = 64
 
 
 def _reject_repeats(option: str, values) -> None:
@@ -231,9 +234,12 @@ def _worker_count() -> int:
     env = os.environ.get("SPECSHARE_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ValueError(f"SPECSHARE_THREADS must be an integer, got {env!r}") from None
+        if count > MAX_THREADS:
+            raise ValueError(f"SPECSHARE_THREADS must be at most {MAX_THREADS}, got {count}")
+        return max(1, count)
     return min(4, os.cpu_count() or 1)
 
 

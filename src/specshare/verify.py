@@ -237,25 +237,26 @@ def check_classical_queues(packets: int = 1_000_000, seed: int = 404) -> CheckRe
         elapsed)
 
 
-def _monotone(rows: list[cli.SweepRow], direction: int, rel_tol: float = 1e-9) -> list[int]:
-    """Indices where the analytic series violates strict monotonicity."""
-    bad = []
-    for i in range(len(rows) - 1):
-        a, b = rows[i].analytic, rows[i + 1].analytic
-        slack = rel_tol * max(abs(a), abs(b))
-        if direction > 0 and not b > a - slack:
-            bad.append(i + 1)
-        if direction < 0 and not b < a + slack:
-            bad.append(i + 1)
-    return bad
+_OUTAGE = ("",)  # an outage series has no mode
+_EVERY_MODE = tuple(mode.value for mode in ServiceMode)
+_SHARED_BAND = ("shared", "combined")  # proprietary traffic never uses the shared band
+
+# whether value y may follow value x along the grid (for "constant", x is the
+# first value), or for "<=" whether x may lie against y at one grid point
+_RELATIONS = {
+    "increasing": lambda x, y: y > x - 1e-9 * max(abs(x), abs(y)),
+    "decreasing": lambda x, y: y < x + 1e-9 * max(abs(x), abs(y)),
+    "nonincreasing": lambda x, y: not y > x * (1 + 1e-9) + 1e-15,
+    "constant": lambda x, y: not abs(y - x) > 1e-12 * max(abs(x), 1e-300),
+    "<=": lambda x, y: x <= y * (1 + 1e-9),
+}
 
 
-def _constant(rows: list[cli.SweepRow], rel_tol: float) -> list[int]:
-    if not rows:
-        return []
-    ref = rows[0].analytic
-    scale = max(abs(ref), 1e-300)
-    return [i for i, r in enumerate(rows) if abs(r.analytic - ref) > rel_tol * scale]
+def _breaks(values: list[float], direction: str) -> list[int]:
+    """Grid rows where a series breaks its direction."""
+    holds = _RELATIONS[direction]
+    return [i for i in range(1, len(values))
+            if not holds(values[0 if direction == "constant" else i - 1], values[i])]
 
 
 def _check(name: str, violations: list[int], extra: str = "") -> CheckResult:
@@ -264,121 +265,92 @@ def _check(name: str, violations: list[int], extra: str = "") -> CheckResult:
     return CheckResult(name, True, extra)
 
 
-def _epsilon_checks(table: cli.SweepTable) -> list[CheckResult]:
-    # tolerance at which the p_max cap starts binding
-    budget_probe = [analytic.max_mbs_power(with_updates(table.base, epsilon=v))
-                    >= table.base.p_max for v in table.spec.grid()]
-    checks = []
-    for mode in table.spec.modes:
-        name = mode.value
-        if mode is ServiceMode.PROPRIETARY_ONLY:
-            continue  # proprietary-only traffic never uses the shared band
-        for metric in ("mean_delay", "jitter"):
-            if metric not in table.spec.metrics:
-                continue
-            rows = table.series(metric, name)
-            if any(r.error for r in rows) or not rows:
-                checks.append(CheckResult(f"{metric}[{name}] vs epsilon", False,
-                                          "errored points in series"))
-                continue
-            label = f"{metric}[{name}]"
-            decreasing = [i + 1 for i in range(len(rows) - 1)
-                          if rows[i + 1].analytic > rows[i].analytic
-                          * (1 + 1e-9) + 1e-15]
-            checks.append(_check(f"{label} nonincreasing in epsilon", decreasing))
-            clamped = [r for r, c in zip(rows, budget_probe) if c]
-            stable = _constant(clamped, rel_tol=1e-6)
-            extra = f"({len(clamped)} clamped points)"
-            if not clamped:
-                checks.append(CheckResult(f"{label} constant after power clamp", False,
-                                          "grid never reaches the p_max clamp"))
-            else:
-                checks.append(_check(f"{label} constant after power clamp", stable, extra))
-    return checks
+def _flat_in_power(table: cli.SweepTable, label: str, rows: list[cli.SweepRow]) -> CheckResult:
+    """The no-sharing outage does not see P_h: exactly without noise, else
+    within the simulation CI, else against the spread of the sharing outage."""
+    values = [r.analytic for r in rows]
+    spread = max(values) - min(values)
+    if table.base.noise_psd == 0.0:
+        return _check(f"{label} constant in P_h (noise-free)", _breaks(values, "constant"))
+    if all(r.sim_mean is not None for r in rows):
+        width = float(np.mean([r.sim_ci_hi - r.sim_ci_lo for r in rows]))
+        inside = all(abs(r.sim_mean - r.analytic) <= 1.5 * (r.sim_ci_hi - r.sim_ci_lo)
+                     for r in rows)
+        return CheckResult(f"{label} flat within simulation CI", spread <= width and inside,
+                           f"analytic spread {spread:.3g} vs mean CI width {width:.3g}")
+    sharing = [r.analytic for r in table.series("outage_sharing")]
+    sharing_spread = max(sharing) - min(sharing) if sharing else math.inf
+    return CheckResult(f"{label} nearly flat in P_h", spread <= 0.2 * sharing_spread,
+                       f"spread {spread:.3g} vs sharing spread {sharing_spread:.3g}")
 
 
-def _ordering_checks(table: cli.SweepTable) -> list[CheckResult]:
-    checks = []
-    have = {m.value for m in table.spec.modes}
-    if {"combined", "proprietary"} <= have:
-        for metric in ("mean_delay", "jitter"):
-            if metric not in table.spec.metrics:
-                continue
-            combined = table.series(metric, "combined")
-            proprietary = table.series(metric, "proprietary")
-            bad = [i for i, (c, p) in enumerate(zip(combined, proprietary))
-                   if not c.analytic <= p.analytic * (1 + 1e-9)]
-            checks.append(_check(f"{metric}: combined <= proprietary pointwise", bad))
-    return checks
+def _clamp_plateau(table: cli.SweepTable, label: str, rows: list[cli.SweepRow]) -> CheckResult:
+    """From the tolerance at which p_max caps the shared-band power on, the
+    series stays put."""
+    base, name = table.base, f"{label} constant after power clamp"
+    clamped = [r.analytic for r, v in zip(rows, table.spec.grid())
+               if analytic.max_mbs_power(with_updates(base, epsilon=v)) >= base.p_max]
+    if not clamped:
+        return CheckResult(name, False, "grid never reaches the p_max clamp")
+    ref = clamped[0]
+    return _check(name, [i for i, v in enumerate(clamped)
+                         if abs(v - ref) > 1e-6 * max(abs(ref), 1e-300)],
+                  f"({len(clamped)} clamped points)")
+
+
+# sweep variable -> the figure trends it asserts. (metric, modes, direction)
+# asserts a direction, or a named assertion, on the metric's series in each
+# requested mode that modes lists ("" for an outage metric); a trailing named
+# assertion then reads the same series, which must have no errored point.
+# (metric, (lower, higher), "<=") orders two modes at every grid point.
+_LOAD = (("mean_delay", _EVERY_MODE, "increasing"), ("jitter", _EVERY_MODE, "increasing"),
+         ("mean_delay", ("combined", "proprietary"), "<="),
+         ("jitter", ("combined", "proprietary"), "<="))
+TRENDS = {
+    "P_h": (("outage_no_sharing", _OUTAGE, _flat_in_power),
+            ("outage_sharing", _OUTAGE, "decreasing")),
+    "lambda_h": (("outage_no_sharing", _OUTAGE, "increasing"),
+                 ("outage_sharing", _OUTAGE, "increasing")),
+    "P_m_shared": (("outage_sharing", _OUTAGE, "increasing"),
+                   ("outage_no_sharing", _OUTAGE, "constant")),
+    "epsilon": (("mean_delay", _SHARED_BAND, "nonincreasing", _clamp_plateau),
+                ("jitter", _SHARED_BAND, "nonincreasing", _clamp_plateau)),
+    "lambda_md": _LOAD,
+    "lambda_mu": _LOAD,
+}
 
 
 def check_trends(table: cli.SweepTable) -> list[CheckResult]:
-    """Assert the figure-specific monotonicity and ordering properties."""
-    spec = table.spec
-    checks: list[CheckResult] = []
+    """Assert the trends TRENDS lists for the swept variable: the directions
+    mode by mode in the requested order, outage series first, then the
+    orderings."""
+    variable = table.spec.variable
+    checks = []
     if table.errors:
-        checks.append(CheckResult("no errored points", False,
-                                  f"{len(table.errors)} rows errored"))
-
-    if spec.variable == "P_h":
-        no_sharing = table.series("outage_no_sharing")
-        sharing = table.series("outage_sharing")
-        if no_sharing:
-            if table.base.noise_psd == 0.0:
-                checks.append(_check("outage_no_sharing constant in P_h (noise-free)",
-                                     _constant(no_sharing, rel_tol=1e-12)))
-            elif all(r.sim_mean is not None for r in no_sharing):
-                spread = (max(r.analytic for r in no_sharing)
-                          - min(r.analytic for r in no_sharing))
-                width = float(np.mean([r.sim_ci_hi - r.sim_ci_lo for r in no_sharing]))
-                flat = spread <= width
-                inside = all(abs(r.sim_mean - r.analytic)
-                             <= 1.5 * (r.sim_ci_hi - r.sim_ci_lo) for r in no_sharing)
-                checks.append(CheckResult(
-                    "outage_no_sharing flat within simulation CI",
-                    flat and inside,
-                    f"analytic spread {spread:.3g} vs mean CI width {width:.3g}"))
+        checks.append(CheckResult("no errored points", False, f"{len(table.errors)} rows errored"))
+    for mode in ("", *(m.value for m in table.spec.modes)):
+        for metric, modes, direction, *plateau in TRENDS[variable]:
+            rows = table.series(metric, mode)
+            if direction == "<=" or mode not in modes or not rows:
+                continue
+            label = f"{metric}[{mode}]" if mode else metric
+            if callable(direction):
+                checks.append(direction(table, label, rows))
+            elif plateau and any(r.error for r in rows):  # the plateau probes every point
+                checks.append(CheckResult(f"{label} vs {variable}", False,
+                                          "errored points in series"))
             else:
-                spread = (max(r.analytic for r in no_sharing)
-                          - min(r.analytic for r in no_sharing))
-                sharing_spread = (max(r.analytic for r in sharing)
-                                  - min(r.analytic for r in sharing)) if sharing else math.inf
-                checks.append(CheckResult(
-                    "outage_no_sharing nearly flat in P_h",
-                    spread <= 0.2 * sharing_spread,
-                    f"spread {spread:.3g} vs sharing spread {sharing_spread:.3g}"))
-        if sharing:
-            checks.append(_check("outage_sharing decreasing in P_h",
-                                 _monotone(sharing, -1)))
-    elif spec.variable == "lambda_h":
-        for metric in cli.OUTAGE_METRICS:
-            rows = table.series(metric)
-            if rows:
-                checks.append(_check(f"{metric} increasing in lambda_h",
-                                     _monotone(rows, +1)))
-    elif spec.variable == "P_m_shared":
-        rows = table.series("outage_sharing")
-        if rows:
-            checks.append(_check("outage_sharing increasing in P_m_shared",
-                                 _monotone(rows, +1)))
-        rows = table.series("outage_no_sharing")
-        if rows:
-            checks.append(_check("outage_no_sharing constant in P_m_shared",
-                                 _constant(rows, rel_tol=1e-12)))
-    elif spec.variable == "epsilon":
-        checks.extend(_epsilon_checks(table))
-    elif spec.variable in ("lambda_md", "lambda_mu"):
-        for mode in spec.modes:
-            name = mode.value
-            for metric in ("mean_delay", "jitter"):
-                if metric not in spec.metrics:
-                    continue
-                rows = table.series(metric, name)
-                if rows:
-                    checks.append(_check(
-                        f"{metric}[{name}] increasing in {spec.variable}",
-                        _monotone(rows, +1)))
-        checks.extend(_ordering_checks(table))
+                checks.append(_check(f"{label} {direction} in {variable}",
+                                     _breaks([r.analytic for r in rows], direction)))
+                checks.extend(then(table, label, rows) for then in plateau)
+    for metric, modes, direction, *_ in TRENDS[variable]:
+        if direction != "<=":
+            continue
+        pairs = list(zip(*(table.series(metric, mode) for mode in modes)))
+        if pairs:
+            checks.append(_check(f"{metric}: {modes[0]} <= {modes[1]} pointwise", [
+                i for i, (x, y) in enumerate(pairs)
+                if not _RELATIONS["<="](x.analytic, y.analytic)]))
     return checks
 
 

@@ -236,6 +236,15 @@ class TestServiceCdf:
         with pytest.raises(ValueError):
             service_cdf(PARAMS, ServiceMode.SHARED_ONLY, -1.0)
 
+    @pytest.mark.parametrize("mode", list(ServiceMode))
+    def test_a_rate_beyond_a_float_over_a_tiny_band_warns_of_nothing(self, mode):
+        # rate / B_m overflows to inf, which the tail's guards then decide
+        params = with_updates(PARAMS, **TINY_PROPRIETARY_BAND)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cdf, x in ((capacity_cdf, 1e10), (service_cdf, 1e-12)):
+                assert cdf(params, mode, np.array([x, 1e3 * x]))[0] == cdf(params, mode, x)
+
     def test_combined_cdf_complements_capacity_cdf(self):
         for mode in ServiceMode:
             for t in (1e-4, 1e-3, 5e-3):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specshare import analytic, cli, geometry, simulate
+from specshare import analytic, cli, geometry, simulate, verify
 from specshare.cli import (
     CSV_HEADER,
     SweepRow,
@@ -417,20 +417,70 @@ class TestEmitCsv:
 
 
 class TestCheckTrends:
-    def _table(self, variable, analytic_values, metric="outage_no_sharing"):
-        spec = SweepSpec(variable, 1.0, 2.0, len(analytic_values), metrics=(metric,))
-        rows = tuple(SweepRow(float(i), metric, "", v, None, None, None, 0)
-                     for i, v in enumerate(analytic_values))
-        return SweepTable(spec, PARAMS, rows)
+    @staticmethod
+    def _table(variable, series, modes=tuple(ServiceMode), base=PARAMS):
+        """A table of the (metric, mode) series given, over a grid of valid epsilons."""
+        metrics = tuple(dict.fromkeys(metric for metric, _ in series))
+        spec = SweepSpec(variable, 0.006, 0.03, len(next(iter(series.values()))),
+                         metrics=metrics, modes=modes)
+        rows = tuple(SweepRow(value, metric, mode, values[i], None, None, None, 0)
+                     for i, value in enumerate(spec.grid())
+                     for (metric, mode), values in series.items())
+        return SweepTable(spec, base, rows)
 
     def test_violations_are_located(self):
-        table = self._table("lambda_h", [0.1, 0.2, 0.15, 0.3])
+        table = self._table("lambda_h", {("outage_no_sharing", ""): [0.1, 0.2, 0.15, 0.3]})
         failing = [c for c in check_trends(table) if not c.passed]
         assert failing and "2" in failing[0].detail
 
     def test_passing_series(self):
-        table = self._table("lambda_h", [0.1, 0.2, 0.3, 0.4])
+        table = self._table("lambda_h", {("outage_no_sharing", ""): [0.1, 0.2, 0.3, 0.4]})
         assert all(c.passed for c in check_trends(table))
+
+    def test_every_sweep_variable_has_trends(self):
+        assert set(verify.TRENDS) == set(cli.SWEEP_VARIABLES)
+
+    @pytest.mark.parametrize("variable, metric, mode, direction", [
+        (variable, metric, modes[0], direction)
+        for variable, trends in verify.TRENDS.items()
+        for metric, modes, direction, *_ in trends
+        if isinstance(direction, str) and direction != "<="])
+    def test_a_broken_direction_fails_at_its_grid_row(self, variable, metric, mode, direction):
+        breaking = {"increasing": [1.0, 2.0, 1.5, 3.0], "decreasing": [3.0, 2.0, 2.5, 1.0],
+                    "nonincreasing": [3.0, 2.0, 2.5, 1.0], "constant": [1.0, 1.0, 1.5, 1.0]}
+        table = self._table(variable, {(metric, mode): breaking[direction]},
+                            modes=(ServiceMode(mode),) if mode else tuple(ServiceMode))
+        label = f"{metric}[{mode}]" if mode else metric
+        checks = {c.name: c for c in check_trends(table)}
+        check = checks[f"{label} {direction} in {variable}"]
+        assert not check.passed and check.detail.startswith("violations at grid rows [2]")
+
+    @pytest.mark.parametrize("variable, metric", [
+        (variable, metric) for variable, trends in verify.TRENDS.items()
+        for metric, _, direction, *_ in trends if direction == "<="])
+    def test_combined_above_proprietary_fails_at_its_grid_row(self, variable, metric):
+        table = self._table(variable, {(metric, "proprietary"): [1.0, 2.0, 3.0, 4.0],
+                                       (metric, "combined"): [0.5, 1.5, 3.5, 3.9]},
+                            modes=(ServiceMode.PROPRIETARY_ONLY, ServiceMode.COMBINED))
+        failing = [c for c in check_trends(table) if not c.passed]
+        assert [(c.name, c.detail) for c in failing] == [
+            (f"{metric}: combined <= proprietary pointwise", "violations at grid rows [2]")]
+
+    def test_a_series_that_moves_past_the_power_clamp_fails(self):
+        # from epsilon = 0.0156 on (the sharing outage at p_max), p_max caps the power
+        table = self._table("epsilon", {
+            ("mean_delay", "shared"): [3.0, 2.0, 1.0, 1.0, 1.0, 0.9]},
+            modes=(ServiceMode.SHARED_ONLY,))
+        failing = [c for c in check_trends(table) if not c.passed]
+        assert [c.name for c in failing] == ["mean_delay[shared] constant after power clamp"]
+        assert failing[0].detail.endswith("(4 clamped points)")
+
+    def test_noise_free_no_sharing_outage_that_moves_fails_at_its_grid_row(self):
+        table = self._table("P_h", {("outage_no_sharing", ""): [0.1, 0.1, 0.2]},
+                            base=with_updates(PARAMS, noise_psd=0.0))
+        assert [(c.name, c.passed, c.detail) for c in check_trends(table)] == [
+            ("outage_no_sharing constant in P_h (noise-free)", False,
+             "violations at grid rows [2]")]
 
 
 class TestMain:
@@ -511,6 +561,29 @@ class TestMain:
             "--out", str(out)])
         assert status == 1
         assert "error" in capsys.readouterr().err
+
+    def test_epsilon_sweep_beyond_its_range_reports_its_trends(self, tmp_path, capsys):
+        # no clamp is probed at an epsilon outside (0, 1): the series fails whole
+        status = cli.main([
+            "sweep", "--var", "epsilon", "--from", "0.5", "--to", "1.5", "--steps", "3",
+            "--metric", "mean_delay", "--mode", "shared", "--out", str(tmp_path / "eps.csv"),
+            "--check-trends"])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "FAIL no errored points: 2 rows errored",
+            "FAIL mean_delay[shared] vs epsilon: errored points in series"]
+        assert "error: " not in captured.err
+
+    @pytest.mark.parametrize("threads, workers", [("1", 1), ("0", 1), ("64", 64)])
+    def test_thread_count_within_bound(self, monkeypatch, threads, workers):
+        monkeypatch.setenv("SPECSHARE_THREADS", threads)
+        assert cli._worker_count() == workers
+
+    def test_thread_count_above_bound_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("SPECSHARE_THREADS", str(cli.MAX_THREADS + 1))
+        with pytest.raises(ValueError, match="SPECSHARE_THREADS must be at most 64, got 65"):
+            cli._worker_count()
 
     def test_non_integer_thread_count_exits_2_naming_the_variable(self, tmp_path, capsys,
                                                                     monkeypatch):
